@@ -1,0 +1,388 @@
+"""Golden report corpus: every structure check, dual and CLI report, frozen.
+
+Each case is a named thunk whose result is rendered as compact canonical
+JSON.  corpus.json stores one case per line: the JSON itself when it is
+short, otherwise "sha256:<hex digest of the rendering>".  test_golden.py
+re-renders every case and compares byte for byte.
+
+Regenerate (only when a report format changes on purpose):
+
+    PYTHONPATH=src python tests/golden/generate.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from homdual import cli, documents
+from homdual.errors import InputError
+from homdual.exact_math import Matrix, rat_str
+from homdual.homalg_core import (
+    FiniteHomAlgebra,
+    FiniteHomCoalgebra,
+    FiniteHomComodule,
+    FiniteHomModule,
+    LinearMapCandidate,
+    check_algebra_morphism,
+    check_coalgebra_morphism,
+    check_comodule_morphism,
+    check_module_morphism,
+    dualize_algebra,
+    dualize_algebra_morphism,
+    dualize_module,
+    dualize_module_morphism,
+    regular_module,
+    verify_hom_algebra,
+    verify_hom_coalgebra,
+    verify_hom_comodule,
+    verify_hom_module,
+)
+from homdual.sweedler import (
+    check_pullback_naturality,
+    dual_basis_functional,
+    make_poly_quotient,
+    make_qplane_quotient,
+    make_tensor_quotient,
+    pullback_functional,
+    quotient_dual_coalgebra,
+)
+from homdual.zoo import zoo_algebras
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+CORPUS = HERE / "corpus.json"
+INLINE_LIMIT = 1024  # renderings longer than this are stored as a digest
+MUTATIONS = 4
+BUMPS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2))
+
+
+def _plain(value):
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _report(report):
+    return {"passed": report.passed, "violations": _plain(report.violations)}
+
+
+def _guarded(thunk):
+    """Run a thunk; an InputError (or subclass) becomes part of the rendering."""
+    try:
+        return thunk()
+    except InputError as exc:
+        out = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "report", None) is not None:
+            out["report"] = _report(exc.report)
+        return out
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.dispatch(list(argv))
+    finally:
+        os.chdir(cwd)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+# ----------------------------------------------------------------- mutations
+
+
+def _bumped_twist(matrix, rng):
+    r, c = rng.randrange(matrix.rows), rng.randrange(matrix.cols)
+    rows = [list(row) for row in matrix.entries]
+    rows[r][c] += rng.choice(BUMPS)
+    return Matrix(rows, cols=matrix.cols)
+
+
+def _mutants(kind, s, rng):
+    """MUTATIONS single-constant edits of the table, then one twist edit."""
+    out = []
+    for _ in range(MUTATIONS):
+        bump = rng.choice(BUMPS)
+        if kind == "algebra":
+            i, j, k = (rng.randrange(s.dim) for _ in range(3))
+            out.append(s.with_mul_entry(i, j, k, s.mul_entry(i, j, k) + bump))
+        elif kind == "coalgebra":
+            k, i, j = (rng.randrange(s.dim) for _ in range(3))
+            old = s.comul_vector(k).get((i, j), 0)
+            out.append(s.with_comul_entry(k, i, j, old + bump))
+        elif kind == "module":
+            a, b = rng.randrange(s.mdim), rng.randrange(s.mdim)
+            i = rng.randrange(s.algebra.dim)
+            old = s.action_vector(a, i).get(b, 0)
+            out.append(s.with_action_entry(a, i, b, old + bump))
+        else:
+            a, b = rng.randrange(s.mdim), rng.randrange(s.mdim)
+            i = rng.randrange(s.coalgebra.dim)
+            old = s.coaction_vector(a).get((b, i), 0)
+            out.append(s.with_coaction_entry(a, b, i, old + bump))
+    if kind == "algebra":
+        out.append(FiniteHomAlgebra(s.dim, s.mul, _bumped_twist(s.twist, rng)))
+    elif kind == "coalgebra":
+        out.append(FiniteHomCoalgebra(s.dim, s.comul, _bumped_twist(s.twist, rng)))
+    elif kind == "module":
+        out.append(
+            FiniteHomModule(s.algebra, s.mdim, s.action, _bumped_twist(s.mtwist, rng))
+        )
+    else:
+        out.append(
+            FiniteHomComodule(s.coalgebra, s.mdim, s.coaction, _bumped_twist(s.mtwist, rng))
+        )
+    return out
+
+
+def _bumped_map(candidate, rng):
+    return LinearMapCandidate(
+        candidate.source_dim,
+        candidate.target_dim,
+        _bumped_twist(candidate.matrix, rng),
+    )
+
+
+def _random_map(source_dim, target_dim, rng):
+    rows = [
+        [rng.choice((0, 0, 1, -1, 2)) for _ in range(source_dim)]
+        for _ in range(target_dim)
+    ]
+    return LinearMapCandidate(source_dim, target_dim, Matrix(rows, cols=source_dim))
+
+
+# --------------------------------------------------------------------- cases
+
+VERIFY = {
+    "algebra": verify_hom_algebra,
+    "coalgebra": verify_hom_coalgebra,
+    "module": verify_hom_module,
+    "comodule": verify_hom_comodule,
+}
+
+
+def _verify_cases(cases, prefix, kind, structure):
+    verify = VERIFY[kind]
+    cases[prefix] = lambda: _report(verify(structure))
+    cases[prefix + "/early"] = lambda: _report(verify(structure, stop_early=True))
+
+
+def _zoo_cases(cases):
+    for name, alg in zoo_algebras():
+        dual = dualize_algebra(alg)
+        module = regular_module(alg)
+        comodule = dualize_module(module)
+        cases["dual-doc/%s" % name] = lambda dual=dual: documents.coalgebra_doc(dual)
+        cases["comodule-doc/%s" % name] = (
+            lambda comodule=comodule: documents.comodule_doc(comodule)
+        )
+        for kind, structure in (
+            ("algebra", alg),
+            ("coalgebra", dual),
+            ("module", module),
+            ("comodule", comodule),
+        ):
+            prefix = "zoo/%s/%s" % (name, kind)
+            _verify_cases(cases, prefix, kind, structure)
+            rng = random.Random(prefix)
+            for n, mutant in enumerate(_mutants(kind, structure, rng)):
+                _verify_cases(cases, "%s/mutant-%d" % (prefix, n), kind, mutant)
+        _morphism_cases(cases, name, alg, dual, module, comodule)
+
+
+def _morphism_cases(cases, name, alg, dual, module, comodule):
+    rng = random.Random("morphism/" + name)
+    n = alg.dim
+    maps = {
+        "identity": LinearMapCandidate(n, n, Matrix.identity(n)),
+        "twist": LinearMapCandidate(n, n, alg.twist),
+    }
+    maps["twist-bumped"] = _bumped_map(maps["twist"], rng)
+    maps["identity-bumped"] = _bumped_map(maps["identity"], rng)
+    maps["random"] = _random_map(n, n, rng)
+    for label, cand in maps.items():
+        prefix = "morphism/%s/%s" % (name, label)
+        cases[prefix + "/algebra"] = lambda cand=cand: _report(
+            check_algebra_morphism(alg, alg, cand)
+        )
+        cases[prefix + "/coalgebra"] = lambda cand=cand: _report(
+            check_coalgebra_morphism(dual, dual, dualize_algebra_morphism(cand))
+        )
+        cases[prefix + "/module"] = lambda cand=cand: _report(
+            check_module_morphism(module, module, cand)
+        )
+        cases[prefix + "/comodule"] = lambda cand=cand: _report(
+            check_comodule_morphism(comodule, comodule, dualize_module_morphism(cand))
+        )
+    # maps between modules of different dimensions over one algebra
+    small = FiniteHomModule(alg, 2, {}, Matrix([[1, 0], [0, 0]]))
+    small_dual = dualize_module(small)
+    for label, cand in (
+        ("to-small", _random_map(n, 2, rng)),
+        ("from-small", _random_map(2, n, rng)),
+    ):
+        src, tgt = (module, small) if label == "to-small" else (small, module)
+        dsrc, dtgt = (comodule, small_dual) if label == "to-small" else (small_dual, comodule)
+        prefix = "morphism/%s/%s" % (name, label)
+        cases[prefix + "/module"] = lambda cand=cand, src=src, tgt=tgt: _report(
+            check_module_morphism(src, tgt, cand)
+        )
+        cases[prefix + "/comodule"] = lambda cand=cand, dsrc=dsrc, dtgt=dtgt: _report(
+            check_comodule_morphism(dtgt, dsrc, dualize_module_morphism(cand))
+        )
+
+
+def _quotient_cases(cases):
+    families = {
+        "poly-N3-k2": make_poly_quotient(3, 2),
+        "poly-N6-k1": make_poly_quotient(6, 1),
+        "poly-N5-k3/2": make_poly_quotient(5, Fraction(3, 2)),
+        "tensor-a2-n2": make_tensor_quotient(2, 2, (2, 3)),
+        "tensor-a3-n2": make_tensor_quotient(3, 2, (Fraction(1, 2), -1, 3)),
+        "qplane-R2-S2-q2-k3": make_qplane_quotient(2, 2, 2, 3),
+        "qplane-R3-S2-q-1/2-k2": make_qplane_quotient(3, 2, Fraction(-1, 2), 2),
+    }
+    for name, quo in families.items():
+        alg = quo.as_hom_algebra()
+        cases["quotient/%s/dual" % name] = (
+            lambda quo=quo: documents.coalgebra_doc(quotient_dual_coalgebra(quo))
+        )
+        cases["quotient/%s/dualize-algebra" % name] = (
+            lambda alg=alg: documents.coalgebra_doc(dualize_algebra(alg))
+        )
+        cases["quotient/%s/dualize-module" % name] = (
+            lambda alg=alg: documents.comodule_doc(dualize_module(regular_module(alg)))
+        )
+        cases["quotient/%s/dual-verify" % name] = (
+            lambda quo=quo: _report(verify_hom_coalgebra(quotient_dual_coalgebra(quo)))
+        )
+        ident = Matrix.identity(quo.dim)
+        cases["quotient/%s/naturality-identity" % name] = (
+            lambda quo=quo, ident=ident: _report(check_pullback_naturality(quo, quo, ident))
+        )
+        rng = random.Random("quotient/" + name)
+        bumped = _bumped_twist(ident, rng)
+        cases["quotient/%s/naturality-bumped" % name] = (
+            lambda quo=quo, bumped=bumped: _guarded(
+                lambda: _report(check_pullback_naturality(quo, quo, bumped))
+            )
+        )
+        top = dual_basis_functional(quo, quo.dim - 1)
+        cases["quotient/%s/pullback-twist" % name] = lambda quo=quo, top=top: _guarded(
+            lambda: _plain(pullback_functional(quo, quo, quo.qtwist, top).coeffs)
+        )
+    square = Matrix([[int(t == 2 * s) for s in range(7)] for t in range(7)])
+    q6 = families["poly-N6-k1"]
+    cases["quotient/poly-N6-k1/naturality-square"] = lambda: _report(
+        check_pullback_naturality(q6, q6, square)
+    )
+    cases["quotient/poly-N6-k1/pullbacks-square"] = lambda: [
+        _plain(pullback_functional(q6, q6, square, dual_basis_functional(q6, t)).coeffs)
+        for t in range(7)
+    ]
+    src, tgt = make_poly_quotient(3, 4), make_poly_quotient(6, 2)
+    pair = Matrix([[int(t == 2 * s) for s in range(4)] for t in range(7)])
+    cases["quotient/poly-pair/naturality"] = lambda: _report(
+        check_pullback_naturality(src, tgt, pair)
+    )
+    shift = Matrix([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    q2 = make_poly_quotient(2, 1)
+    cases["quotient/poly-N2-k1/naturality-shift"] = lambda: _guarded(
+        lambda: _report(check_pullback_naturality(q2, q2, shift))
+    )
+    cases["quotient/poly-N2-k1/pullback-shift"] = lambda: _guarded(
+        lambda: _plain(pullback_functional(q2, q2, shift, dual_basis_functional(q2, 1)).coeffs)
+    )
+
+
+def _error_cases(cases):
+    alg = make_poly_quotient(2, 1).as_hom_algebra()
+    other = make_poly_quotient(2, 2).as_hom_algebra()
+    wrong = LinearMapCandidate(2, 3, Matrix([[1, 0], [0, 1], [0, 0]]))
+    ident = LinearMapCandidate(3, 3, Matrix.identity(3))
+    dual, dual_other = dualize_algebra(alg), dualize_algebra(other)
+    module, module_other = regular_module(alg), regular_module(other)
+    checks = {
+        "algebra-shape": lambda: check_algebra_morphism(alg, alg, wrong),
+        "coalgebra-shape": lambda: check_coalgebra_morphism(dual, dual, wrong),
+        "module-shape": lambda: check_module_morphism(module, module, wrong),
+        "comodule-shape": lambda: check_comodule_morphism(
+            dualize_module(module), dualize_module(module), wrong
+        ),
+        "module-common": lambda: check_module_morphism(module, module_other, ident),
+        "comodule-common": lambda: check_comodule_morphism(
+            dualize_module(module), dualize_module(module_other), ident
+        ),
+        "coalgebra-cross": lambda: check_coalgebra_morphism(dual, dual_other, ident),
+    }
+    for label, thunk in checks.items():
+        cases["error/" + label] = lambda thunk=thunk: _guarded(lambda: _report(thunk()))
+
+
+def _cli_cases(cases):
+    names = sorted(p.name for p in (ROOT / "instances").glob("*.json"))
+    for name in names:
+        path = "instances/" + name
+        cases["cli/verify/" + name] = lambda path=path: _cli("verify", path)
+        cases["cli/dualize/" + name] = lambda path=path: _cli("dualize", path)
+    cases["cli/verify-all"] = lambda: _cli("verify", "--all", "instances")
+    cases["cli/sweedler-delta/qplane"] = lambda: _cli(
+        "sweedler-delta",
+        "--quotient",
+        "instances/qplane_quotient_R2_S2_q2_k3.json",
+        "--functional",
+        ",".join(["0"] * 8 + ["1"]),
+    )
+
+
+def cases():
+    """Ordered {case name: thunk returning a JSON-ready value}."""
+    out = {}
+    _zoo_cases(out)
+    _quotient_cases(out)
+    _error_cases(out)
+    _cli_cases(out)
+    return out
+
+
+def render(thunk):
+    """Compact canonical JSON of one case's value."""
+    return json.dumps(thunk(), sort_keys=True, separators=(",", ":"))
+
+
+def digest(text):
+    """A rendering as the corpus keeps it: itself when short, else its sha256."""
+    if len(text) <= INLINE_LIMIT:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def load_corpus():
+    """{case name: digest} from corpus.json, in file order."""
+    raw = json.loads(CORPUS.read_text(encoding="utf-8"))
+    return {
+        name: value if isinstance(value, str) else render(lambda value=value: value)
+        for name, value in raw.items()
+    }
+
+
+def main():
+    lines = []
+    for name, thunk in cases().items():
+        value = digest(render(thunk))
+        inline = value if not value.startswith("sha256:") else json.dumps(value)
+        lines.append("%s: %s" % (json.dumps(name), inline))
+    CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print("wrote %d cases to %s" % (len(lines), CORPUS.relative_to(ROOT)))
+
+
+if __name__ == "__main__":
+    main()
