@@ -51,7 +51,7 @@ def _load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise InputError("cannot read file %r: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer past the digit limit
         raise InputError("file %r is not valid JSON: %s" % (path, exc))
 
 

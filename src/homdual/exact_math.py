@@ -1,6 +1,8 @@
 """Exact rational scalars and dense rational linear algebra (RREF, kernel)."""
 
+import decimal
 import re
+import sys
 from fractions import Fraction
 
 from .errors import InputError
@@ -27,20 +29,31 @@ def rat(value):
         if not _RAT_RE.match(text):
             raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))
         num, _, den = text.partition("/")
-        if den:
-            if int(den) == 0:
-                raise InputError("zero denominator in rational literal %r" % (value,))
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            if not den:
+                return Fraction(int(num))
+            num, den = int(num), int(den)
+        except ValueError:  # past the interpreter's int-from-str digit limit
+            raise InputError(
+                "rational literal of %d characters exceeds the %d-digit integer limit"
+                % (len(text), sys.get_int_max_str_digits())
+            )
+        if den == 0:
+            raise InputError("zero denominator in rational literal %r" % (value,))
+        return Fraction(num, den)
     raise InputError("cannot coerce %r to a rational" % (value,))
 
 
 def rat_str(value):
-    """Render a Rational as "p/q", or "p" when the denominator is 1."""
+    """Render a Rational of any size as "p/q", or "p" when the denominator is 1."""
     f = rat(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+    try:
+        if f.denominator == 1:
+            return str(f.numerator)
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
+        num, den = (str(decimal.Decimal(n)) for n in (f.numerator, f.denominator))
+        return num if den == "1" else "%s/%s" % (num, den)
 
 
 class Matrix:

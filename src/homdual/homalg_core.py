@@ -5,6 +5,12 @@ rationals.  Verifiers contract the constants over every basis tuple, so a
 passing report is a proof of the axioms for the given presentation, not a
 sampled check.  Twist matrices use the column convention: column i holds
 the coordinates of the image of the i-th basis vector.
+
+Only the algebra side is contracted.  By finite duality a coalgebra is an
+algebra read through the transpose (comul[k][(i,j)] = mul[(i,j)][k], twist
+transposed) and a comodule is a module read the same way, so the coalgebra
+and comodule checks run the algebra and module sweeps on the transposes and
+regroup both sides of each axiom by output index.
 """
 
 from dataclasses import dataclass
@@ -30,6 +36,34 @@ def _add_scaled(acc, scale, vec):
                 acc[key] = new
 
 
+def _apply(cols, vec):
+    """Linear map given by its sparse columns, applied to a sparse vector."""
+    out = {}
+    for i, vi in vec.items():
+        _add_scaled(out, vi, cols[i])
+    return out
+
+
+def _bilinear(table, u, v):
+    """Bilinear map {(a, b): {k: coeff}} applied to sparse vectors u and v."""
+    out = {}
+    for a, ua in u.items():
+        for b, vb in v.items():
+            vec = table.get((a, b))
+            if vec:
+                _add_scaled(out, ua * vb, vec)
+    return out
+
+
+def _flip(table):
+    """{outer: {inner: c}} -> {inner: {outer: c}}: the finite-duality transpose."""
+    out = {}
+    for outer, vec in table.items():
+        for inner, c in vec.items():
+            out.setdefault(inner, {})[outer] = c
+    return out
+
+
 def canon(sparse):
     """Sparse map -> sorted zero-free tuple of (index-tuple, value)."""
     out = []
@@ -43,22 +77,13 @@ def canon(sparse):
     return tuple(out)
 
 
-def _as_matrix(m, rows, cols, what):
+def _checked_matrix(m, rows, cols, what):
+    """(m as a Matrix of the given shape, its columns as sparse {row: coeff} dicts)."""
     if not isinstance(m, Matrix):
         m = Matrix(m)
     if m.rows != rows or m.cols != cols:
-        raise InputError(
-            "%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, m.cols)
-        )
-    return m
-
-
-def _sparse_cols(m):
-    """Columns of a Matrix as a list of {row: coeff} dicts."""
-    return [
-        {i: m.entries[i][j] for i in range(m.rows) if m.entries[i][j] != 0}
-        for j in range(m.cols)
-    ]
+        raise InputError("%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, m.cols))
+    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j] != 0} for j in range(cols)]
 
 
 def _norm_constants(data, left, right, out, what):
@@ -146,30 +171,44 @@ class AxiomReport:
         return not self.violations
 
 
-def _report(violations):
-    return AxiomReport(tuple(violations))
+class _Structure:
+    """What the four structure classes share.  _fields names the constructor
+    arguments in order; the structure constants are always second to last."""
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and all(
+            getattr(self, name) == getattr(other, name) for name in self._fields
+        )
+
+    def _with_entry(self, key, inner, value):
+        """Copy with one structure constant replaced."""
+        args = [getattr(self, name) for name in self._fields]
+        table = args[-2] = {k: dict(vec) for k, vec in args[-2].items()}
+        value = rat(value)
+        slot = table.setdefault(key, {})
+        if value == 0:
+            slot.pop(inner, None)
+        else:
+            slot[inner] = value
+        return type(self)(*args)
+
+    def _twist_apply(self, vec):
+        return _apply(self._tcols, vec)
 
 
-class FiniteHomAlgebra:
+class FiniteHomAlgebra(_Structure):
     """Hom-associative algebra on basis e_0..e_{n-1}.
 
     mul normalizes to {(i, j): {k: coeff}} with e_i e_j = sum_k coeff e_k;
     twist is the matrix of the twisting endomorphism.
     """
 
+    _fields = ("dim", "mul", "twist")
+
     def __init__(self, dim, mul, twist):
         self.dim = dim
         self.mul = _norm_constants(mul, dim, dim, dim, "mul")
-        self.twist = _as_matrix(twist, dim, dim, "twist")
-        self._tcols = _sparse_cols(self.twist)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteHomAlgebra)
-            and self.dim == other.dim
-            and self.mul == other.mul
-            and self.twist == other.twist
-        )
+        self.twist, self._tcols = _checked_matrix(twist, dim, dim, "twist")
 
     def __repr__(self):
         return "FiniteHomAlgebra(dim=%d)" % self.dim
@@ -181,53 +220,28 @@ class FiniteHomAlgebra:
         return self.mul.get((i, j), {}).get(k, Fraction(0))
 
     def with_mul_entry(self, i, j, k, value):
-        """Copy with one structure constant replaced."""
-        table = {key: dict(vec) for key, vec in self.mul.items()}
-        value = rat(value)
-        slot = table.setdefault((i, j), {})
-        if value == 0:
-            slot.pop(k, None)
-        else:
-            slot[k] = value
-        return FiniteHomAlgebra(self.dim, table, self.twist)
+        return self._with_entry((i, j), k, value)
 
     def product(self, u, v):
         """Bilinear product of sparse coordinate vectors."""
-        out = {}
-        for a, ua in u.items():
-            for b, vb in v.items():
-                vec = self.mul.get((a, b))
-                if vec:
-                    _add_scaled(out, ua * vb, vec)
-        return out
+        return _bilinear(self.mul, u, v)
 
-    def twist_apply(self, u):
-        out = {}
-        for i, ui in u.items():
-            _add_scaled(out, ui, self._tcols[i])
-        return out
+    twist_apply = _Structure._twist_apply
 
 
-class FiniteHomCoalgebra:
+class FiniteHomCoalgebra(_Structure):
     """Hom-coalgebra on basis e_0..e_{n-1}.
 
     comul normalizes to {k: {(i, j): coeff}} with
     Delta(e_k) = sum coeff e_i (x) e_j.
     """
 
+    _fields = ("dim", "comul", "twist")
+
     def __init__(self, dim, comul, twist):
         self.dim = dim
         self.comul = _norm_split(comul, dim, dim, dim, "comul")
-        self.twist = _as_matrix(twist, dim, dim, "twist")
-        self._tcols = _sparse_cols(self.twist)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteHomCoalgebra)
-            and self.dim == other.dim
-            and self.comul == other.comul
-            and self.twist == other.twist
-        )
+        self.twist, self._tcols = _checked_matrix(twist, dim, dim, "twist")
 
     def __repr__(self):
         return "FiniteHomCoalgebra(dim=%d)" % self.dim
@@ -236,38 +250,23 @@ class FiniteHomCoalgebra:
         return self.comul.get(k, {})
 
     def with_comul_entry(self, k, i, j, value):
-        table = {key: dict(vec) for key, vec in self.comul.items()}
-        value = rat(value)
-        slot = table.setdefault(k, {})
-        if value == 0:
-            slot.pop((i, j), None)
-        else:
-            slot[(i, j)] = value
-        return FiniteHomCoalgebra(self.dim, table, self.twist)
+        return self._with_entry(k, (i, j), value)
 
 
-class FiniteHomModule:
+class FiniteHomModule(_Structure):
     """Right Hom-module over a FiniteHomAlgebra.
 
     action normalizes to {(a, i): {b: coeff}} with
     m_a . e_i = sum_b coeff m_b; mtwist is the module twist.
     """
 
+    _fields = ("algebra", "mdim", "action", "mtwist")
+
     def __init__(self, algebra, mdim, action, mtwist):
         self.algebra = algebra
         self.mdim = mdim
         self.action = _norm_constants(action, mdim, algebra.dim, mdim, "action")
-        self.mtwist = _as_matrix(mtwist, mdim, mdim, "mtwist")
-        self._tcols = _sparse_cols(self.mtwist)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteHomModule)
-            and self.mdim == other.mdim
-            and self.algebra == other.algebra
-            and self.action == other.action
-            and self.mtwist == other.mtwist
-        )
+        self.mtwist, self._tcols = _checked_matrix(mtwist, mdim, mdim, "mtwist")
 
     def __repr__(self):
         return "FiniteHomModule(mdim=%d over dim=%d)" % (self.mdim, self.algebra.dim)
@@ -276,54 +275,29 @@ class FiniteHomModule:
         return self.action.get((a, i), {})
 
     def with_action_entry(self, a, i, b, value):
-        table = {key: dict(vec) for key, vec in self.action.items()}
-        value = rat(value)
-        slot = table.setdefault((a, i), {})
-        if value == 0:
-            slot.pop(b, None)
-        else:
-            slot[b] = value
-        return FiniteHomModule(self.algebra, self.mdim, table, self.mtwist)
+        return self._with_entry((a, i), b, value)
 
     def act(self, mvec, avec):
         """Sparse bilinear action of an algebra vector on a module vector."""
-        out = {}
-        for a, ma in mvec.items():
-            for i, gi in avec.items():
-                vec = self.action.get((a, i))
-                if vec:
-                    _add_scaled(out, ma * gi, vec)
-        return out
+        return _bilinear(self.action, mvec, avec)
 
-    def mtwist_apply(self, mvec):
-        out = {}
-        for a, ma in mvec.items():
-            _add_scaled(out, ma, self._tcols[a])
-        return out
+    mtwist_apply = _Structure._twist_apply
 
 
-class FiniteHomComodule:
+class FiniteHomComodule(_Structure):
     """Right Hom-comodule over a FiniteHomCoalgebra.
 
     coaction normalizes to {a: {(b, i): coeff}} with
     phi(m_a) = sum coeff m_b (x) c_i; mtwist is the comodule twist.
     """
 
+    _fields = ("coalgebra", "mdim", "coaction", "mtwist")
+
     def __init__(self, coalgebra, mdim, coaction, mtwist):
         self.coalgebra = coalgebra
         self.mdim = mdim
         self.coaction = _norm_split(coaction, mdim, mdim, coalgebra.dim, "coaction")
-        self.mtwist = _as_matrix(mtwist, mdim, mdim, "mtwist")
-        self._tcols = _sparse_cols(self.mtwist)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteHomComodule)
-            and self.mdim == other.mdim
-            and self.coalgebra == other.coalgebra
-            and self.coaction == other.coaction
-            and self.mtwist == other.mtwist
-        )
+        self.mtwist, self._tcols = _checked_matrix(mtwist, mdim, mdim, "mtwist")
 
     def __repr__(self):
         return "FiniteHomComodule(mdim=%d over dim=%d)" % (self.mdim, self.coalgebra.dim)
@@ -331,21 +305,10 @@ class FiniteHomComodule:
     def coaction_vector(self, a):
         return self.coaction.get(a, {})
 
-    def mtwist_apply(self, mvec):
-        out = {}
-        for a, ma in mvec.items():
-            _add_scaled(out, ma, self._tcols[a])
-        return out
-
     def with_coaction_entry(self, a, b, i, value):
-        table = {key: dict(vec) for key, vec in self.coaction.items()}
-        value = rat(value)
-        slot = table.setdefault(a, {})
-        if value == 0:
-            slot.pop((b, i), None)
-        else:
-            slot[(b, i)] = value
-        return FiniteHomComodule(self.coalgebra, self.mdim, table, self.mtwist)
+        return self._with_entry(a, (b, i), value)
+
+    mtwist_apply = _Structure._twist_apply
 
 
 class LinearMapCandidate:
@@ -354,8 +317,9 @@ class LinearMapCandidate:
     def __init__(self, source_dim, target_dim, matrix):
         self.source_dim = source_dim
         self.target_dim = target_dim
-        self.matrix = _as_matrix(matrix, target_dim, source_dim, "morphism matrix")
-        self._cols = _sparse_cols(self.matrix)
+        self.matrix, self._cols = _checked_matrix(
+            matrix, target_dim, source_dim, "morphism matrix"
+        )
 
     def __eq__(self, other):
         return (
@@ -372,131 +336,153 @@ class LinearMapCandidate:
         return self._cols[i]
 
     def apply_sparse(self, vec):
-        out = {}
-        for i, vi in vec.items():
-            _add_scaled(out, vi, self._cols[i])
-        return out
+        return _apply(self._cols, vec)
 
 
-def verify_hom_algebra(algebra, stop_early=False):
-    """Check Hom-associativity and twist multiplicativity on every basis tuple.
+# The engine.  Each axiom is a lazy sweep yielding (basis input tuple, lhs,
+# rhs) in report order, both sides sparse over the output basis; tuples where
+# both sides are structurally zero are skipped.  Maps are lists of sparse
+# columns, bilinear maps are {(a, b): {k: coeff}} tables.
 
-    Hom-associativity: alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k) for all
-    triples.  Multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j) for
-    all pairs.  With stop_early the report lists only the first violation.
-    """
+
+def _pairs(f, src, dst, g):
+    """At (x, y): f(src(e_x, e_y)) against dst(f(e_x), g(e_y))."""
+    for x in range(len(f)):
+        for y in range(len(g)):
+            sxy = src.get((x, y), {})
+            if sxy or (f[x] and g[y]):
+                yield (x, y), _apply(f, sxy), _bilinear(dst, f[x], g[y])
+
+
+def _triples(t, f, left, right, g):
+    """At (x, y, z): t(f(e_x), left(e_y, e_z)) against t(right(e_x, e_y), g(e_z))."""
+    reach = {}  # p -> every q with t(e_p, e_q) != 0
+    for p, q in t:
+        reach.setdefault(p, set()).add(q)
+    rows = {}  # y -> [(z, left(e_y, e_z))] over the nonzero entries, z ascending
+    for (y, z), vec in sorted(left.items()):
+        rows.setdefault(y, []).append((z, vec))
+    hits = {}  # q -> every z with e_q in the support of g(e_z)
+    for z, vec in enumerate(g):
+        for q in vec:
+            hits.setdefault(q, []).append(z)
+
+    def reached(vec):
+        return set().union(*(reach.get(p, ()) for p in vec))
+
+    for x in range(len(f)):
+        fx = f[x]
+        lhs_q = reached(fx)
+        for y in range(len(g)):
+            rxy = right.get((x, y), {})
+            zs = {z for z, lyz in rows.get(y, ()) if not lhs_q.isdisjoint(lyz)}
+            zs.update(z for q in reached(rxy) for z in hits.get(q, ()))
+            for z in sorted(zs):
+                yield (x, y, z), _bilinear(t, fx, left.get((y, z), {})), _bilinear(t, rxy, g[z])
+
+
+def _commutes(f, a, b):
+    """At (x,): f(a(e_x)) against b(f(e_x))."""
+    for x in range(len(a)):
+        yield (x,), _apply(f, a[x]), _apply(b, f[x])
+
+
+def _swapped(sweep):
+    return ((at, rhs, lhs) for at, lhs, rhs in sweep)
+
+
+def _algebra_axioms(mul, tw):
+    """alpha(e_i e_j) = alpha(e_i) alpha(e_j); alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k)."""
+    return {
+        "twist-multiplicative": _pairs(tw, mul, mul, tw),
+        "hom-associativity": _triples(mul, tw, mul, mul, tw),
+    }
+
+
+def _module_axioms(act, gam, mul, tw):
+    """gamma(m_a).alpha(e_i) = gamma(m_a.e_i); (m_a.e_i).alpha(e_j) = gamma(m_a).(e_i e_j)."""
+    return {
+        "module-twist-compatibility": _swapped(_pairs(gam, act, act, tw)),
+        "module-hom-associativity": _swapped(_triples(act, gam, mul, act, tw)),
+    }
+
+
+def _algebra_morphism_axioms(f, mul, tw, mul2, tw2):
+    """F(e_i e_j) = F(e_i) F(e_j); F(alpha(e_i)) = alpha'(F(e_i))."""
+    return {
+        "multiplication-compat": _pairs(f, mul, mul2, f),
+        "twist-compat": _commutes(f, tw, tw2),
+    }
+
+
+def _module_morphism_axioms(f, act, gam, act2, gam2, tw):
+    """sigma(m_a.e_i) = sigma(m_a).alpha(e_i); gamma'(sigma(m_a)) = sigma(gamma(m_a))."""
+    return {
+        "action-compat": _pairs(f, act, act2, tw),
+        "twist-compat": _swapped(_commutes(f, gam, gam2)),
+    }
+
+
+# algebra-side axiom -> (coalgebra-side name, whether its lhs is the algebra-side rhs)
+_DUAL = {
+    "twist-multiplicative": ("twist-comultiplicative", False),
+    "hom-associativity": ("hom-coassociativity", False),
+    "module-twist-compatibility": ("comodule-twist-compatibility", False),
+    "module-hom-associativity": ("comodule-hom-coassociativity", False),
+    "multiplication-compat": ("comultiplication-compat", True),
+    "action-compat": ("coaction-compat", False),
+    "twist-compat": ("twist-compat", True),
+}
+
+
+def _by_output(sweep, swapped):
+    """A sweep read by output index k: at (k,), both sides as {input tuple: value}."""
+    left, right = {}, {}
+    for at, lhs, rhs in sweep:
+        for k, val in lhs.items():
+            left.setdefault(k, {})[at] = val
+        for k, val in rhs.items():
+            right.setdefault(k, {})[at] = val
+    if swapped:
+        left, right = right, left
+    for k in sorted(left.keys() | right.keys()):
+        yield (k,), left.get(k, {}), right.get(k, {})
+
+
+def _dual(axioms):
+    """The coalgebra-side axioms: each algebra-side sweep read by output, renamed."""
+    return {_DUAL[name][0]: _by_output(sweep, _DUAL[name][1]) for name, sweep in axioms.items()}
+
+
+def _report(axioms, stop_early=False):
+    """One violation per swept tuple whose sides differ, in sweep order."""
     violations = []
-    n = algebra.dim
-    tcols = algebra._tcols
-    for i in range(n):
-        for j in range(n):
-            lhs = algebra.twist_apply(algebra.mul_vector(i, j))
-            rhs = algebra.product(tcols[i], tcols[j])
+    for name, sweep in axioms.items():
+        for at, lhs, rhs in sweep:
             if lhs != rhs:
-                violations.append(("twist-multiplicative", (i, j), canon(lhs), canon(rhs)))
+                violations.append((name, at, canon(lhs), canon(rhs)))
                 if stop_early:
-                    return _report(violations)
-    for i in range(n):
-        ti = tcols[i]
-        for j in range(n):
-            mij = algebra.mul_vector(i, j)
-            for k in range(n):
-                lhs = algebra.product(ti, algebra.mul_vector(j, k))
-                rhs = algebra.product(mij, tcols[k])
-                if lhs != rhs:
-                    violations.append(("hom-associativity", (i, j, k), canon(lhs), canon(rhs)))
-                    if stop_early:
-                        return _report(violations)
-    return _report(violations)
+                    return AxiomReport(tuple(violations))
+    return AxiomReport(tuple(violations))
 
 
-def verify_hom_coalgebra(coalgebra, stop_early=False):
-    """Check Hom-coassociativity and twist comultiplicativity on every basis element.
-
-    Hom-coassociativity: (beta (x) Delta) Delta = (Delta (x) beta) Delta.
-    Comultiplicativity: Delta(beta(e_m)) = (beta (x) beta) Delta(e_m).
-    """
-    violations = []
-    n = coalgebra.dim
-    tcols = coalgebra._tcols
-    for m in range(n):
-        lhs = {}
-        for i, coeff in tcols[m].items():
-            _add_scaled(lhs, coeff, coalgebra.comul_vector(i))
-        rhs = {}
-        for (i, j), coeff in coalgebra.comul_vector(m).items():
-            for a, ba in tcols[i].items():
-                for b, bb in tcols[j].items():
-                    _add_scaled(rhs, coeff * ba * bb, {(a, b): Fraction(1)})
-        if lhs != rhs:
-            violations.append(("twist-comultiplicative", (m,), canon(lhs), canon(rhs)))
-            if stop_early:
-                return _report(violations)
-    for m in range(n):
-        lhs = {}
-        rhs = {}
-        for (i, j), coeff in coalgebra.comul_vector(m).items():
-            for a, ba in tcols[i].items():
-                for (b, c), inner in coalgebra.comul_vector(j).items():
-                    _add_scaled(lhs, coeff * ba * inner, {(a, b, c): Fraction(1)})
-            for (a, b), inner in coalgebra.comul_vector(i).items():
-                for c, bc in tcols[j].items():
-                    _add_scaled(rhs, coeff * inner * bc, {(a, b, c): Fraction(1)})
-        if lhs != rhs:
-            violations.append(("hom-coassociativity", (m,), canon(lhs), canon(rhs)))
-            if stop_early:
-                return _report(violations)
-    return _report(violations)
+def _transpose(cols, rows):
+    """Sparse columns of the transpose of a matrix with `rows` rows given by its columns."""
+    out = [{} for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, val in col.items():
+            out[i][j] = val
+    return out
 
 
-def check_algebra_morphism(source, target, candidate):
-    """Check that candidate intertwines the products and the twists.
-
-    Conditions: F(e_i e_j) = F(e_i) F(e_j) for all pairs, and
-    F(alpha(e_i)) = alpha'(F(e_i)) for all i.
-    """
-    _check_map_shape(candidate, source.dim, target.dim)
-    violations = []
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = candidate.apply_sparse(source.mul_vector(i, j))
-            rhs = target.product(candidate.col(i), candidate.col(j))
-            if lhs != rhs:
-                violations.append(("multiplication-compat", (i, j), canon(lhs), canon(rhs)))
-    for i in range(source.dim):
-        lhs = candidate.apply_sparse(source._tcols[i])
-        rhs = target.twist_apply(candidate.col(i))
-        if lhs != rhs:
-            violations.append(("twist-compat", (i,), canon(lhs), canon(rhs)))
-    return _report(violations)
+def _algebra_of(coalgebra):
+    """(mul, twist columns) of the algebra whose finite dual is coalgebra."""
+    return _flip(coalgebra.comul), _transpose(coalgebra._tcols, coalgebra.dim)
 
 
-def check_coalgebra_morphism(source, target, candidate):
-    """Check that candidate intertwines the comultiplications and the twists.
-
-    Conditions: (F (x) F) Delta = Delta' F and F beta = beta' F.
-    """
-    _check_map_shape(candidate, source.dim, target.dim)
-    violations = []
-    for m in range(source.dim):
-        lhs = {}
-        for (i, j), coeff in source.comul_vector(m).items():
-            for a, fa in candidate.col(i).items():
-                for b, fb in candidate.col(j).items():
-                    _add_scaled(lhs, coeff * fa * fb, {(a, b): Fraction(1)})
-        rhs = {}
-        for a, fa in candidate.col(m).items():
-            _add_scaled(rhs, fa, target.comul_vector(a))
-        if lhs != rhs:
-            violations.append(("comultiplication-compat", (m,), canon(lhs), canon(rhs)))
-    for m in range(source.dim):
-        lhs = candidate.apply_sparse(source._tcols[m])
-        rhs = {}
-        for a, fa in candidate.col(m).items():
-            _add_scaled(rhs, fa, target._tcols[a])
-        if lhs != rhs:
-            violations.append(("twist-compat", (m,), canon(lhs), canon(rhs)))
-    return _report(violations)
+def _module_of(comodule):
+    """(action, twist columns) of the module whose finite dual is comodule."""
+    return _flip(comodule.coaction), _transpose(comodule._tcols, comodule.mdim)
 
 
 def _check_map_shape(candidate, source_dim, target_dim):
@@ -507,6 +493,49 @@ def _check_map_shape(candidate, source_dim, target_dim):
         )
 
 
+def verify_hom_algebra(algebra, stop_early=False):
+    """Check Hom-associativity and twist multiplicativity on every basis tuple.
+
+    Hom-associativity: alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k) for all
+    triples.  Multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j) for
+    all pairs.  With stop_early the report lists only the first violation.
+    """
+    return _report(_algebra_axioms(algebra.mul, algebra._tcols), stop_early)
+
+
+def verify_hom_coalgebra(coalgebra, stop_early=False):
+    """Check Hom-coassociativity and twist comultiplicativity on every basis element.
+
+    Hom-coassociativity: (beta (x) Delta) Delta = (Delta (x) beta) Delta.
+    Comultiplicativity: Delta(beta(e_m)) = (beta (x) beta) Delta(e_m).
+    """
+    return _report(_dual(_algebra_axioms(*_algebra_of(coalgebra))), stop_early)
+
+
+def check_algebra_morphism(source, target, candidate):
+    """Check that candidate intertwines the products and the twists.
+
+    Conditions: F(e_i e_j) = F(e_i) F(e_j) for all pairs, and
+    F(alpha(e_i)) = alpha'(F(e_i)) for all i.
+    """
+    _check_map_shape(candidate, source.dim, target.dim)
+    axioms = _algebra_morphism_axioms(
+        candidate._cols, source.mul, source._tcols, target.mul, target._tcols
+    )
+    return _report(axioms)
+
+
+def check_coalgebra_morphism(source, target, candidate):
+    """Check that candidate intertwines the comultiplications and the twists.
+
+    Conditions: (F (x) F) Delta = Delta' F and F beta = beta' F.
+    """
+    _check_map_shape(candidate, source.dim, target.dim)
+    adjoint = _transpose(candidate._cols, target.dim)
+    axioms = _algebra_morphism_axioms(adjoint, *_algebra_of(target), *_algebra_of(source))
+    return _report(_dual(axioms))
+
+
 def dualize_algebra(algebra):
     """Finite dual: comul[k][(i,j)] = mul[(i,j)][k], twist transposed.
 
@@ -514,18 +543,22 @@ def dualize_algebra(algebra):
     twist into its adjoint; the result is always a Hom-coalgebra when the
     input is a Hom-algebra.
     """
-    comul = {}
-    for (i, j), vec in algebra.mul.items():
-        for k, coeff in vec.items():
-            comul.setdefault(k, {})[(i, j)] = coeff
-    return FiniteHomCoalgebra(algebra.dim, comul, algebra.twist.transpose())
+    return FiniteHomCoalgebra(algebra.dim, _flip(algebra.mul), algebra.twist.transpose())
 
 
 def dualize_algebra_morphism(candidate):
-    """Adjoint map: transpose of the matrix, direction reversed."""
+    """Adjoint map: transpose of the matrix, direction reversed.
+
+    Also dualize_module_morphism: if sigma: M -> N passes the module morphism
+    check, the adjoint passes the comodule morphism check from the dual of N
+    to the dual of M.
+    """
     return LinearMapCandidate(
         candidate.target_dim, candidate.source_dim, candidate.matrix.transpose()
     )
+
+
+dualize_module_morphism = dualize_algebra_morphism
 
 
 def yau_twist(assoc, endo):
@@ -535,27 +568,15 @@ def yau_twist(assoc, endo):
     The input must carry the identity twist; endo must be multiplicative
     (checked on all basis pairs, first violating pair reported).
     """
-    endo = _as_matrix(endo, assoc.dim, assoc.dim, "endo")
+    endo, cols = _checked_matrix(endo, assoc.dim, assoc.dim, "endo")
     if not assoc.twist.is_identity():
         raise InputError("yau_twist input must carry the identity twist")
-    cols = _sparse_cols(endo)
-    probe = FiniteHomAlgebra(assoc.dim, assoc.mul, endo)
-    for i in range(assoc.dim):
-        for j in range(assoc.dim):
-            lhs = probe.twist_apply(assoc.mul_vector(i, j))
-            rhs = assoc.product(cols[i], cols[j])
-            if lhs != rhs:
-                raise InputError(
-                    "endo is not an algebra endomorphism: fails at basis pair (%d, %d)"
-                    % (i, j)
-                )
-    mul = {}
-    for (i, j), vec in assoc.mul.items():
-        out = {}
-        for k, coeff in vec.items():
-            _add_scaled(out, coeff, cols[k])
-        if out:
-            mul[(i, j)] = out
+    for at, lhs, rhs in _algebra_axioms(assoc.mul, cols)["twist-multiplicative"]:
+        if lhs != rhs:
+            raise InputError(
+                "endo is not an algebra endomorphism: fails at basis pair (%d, %d)" % at
+            )
+    mul = {key: _apply(cols, vec) for key, vec in assoc.mul.items()}
     return FiniteHomAlgebra(assoc.dim, mul, endo)
 
 
@@ -570,30 +591,8 @@ def verify_hom_module(module, stop_early=False):
     Axioms: (m.g).alpha(h) = gamma(m).(gh) over all (module, algebra,
     algebra) triples, and gamma(m).alpha(g) = gamma(m.g) over all pairs.
     """
-    violations = []
     alg = module.algebra
-    for a in range(module.mdim):
-        for i in range(alg.dim):
-            lhs = module.act(module._tcols[a], alg._tcols[i])
-            rhs = module.mtwist_apply(module.action_vector(a, i))
-            if lhs != rhs:
-                violations.append(("module-twist-compatibility", (a, i), canon(lhs), canon(rhs)))
-                if stop_early:
-                    return _report(violations)
-    for a in range(module.mdim):
-        ga = module._tcols[a]
-        for i in range(alg.dim):
-            mai = module.action_vector(a, i)
-            for j in range(alg.dim):
-                lhs = module.act(mai, alg._tcols[j])
-                rhs = module.act(ga, alg.mul_vector(i, j))
-                if lhs != rhs:
-                    violations.append(
-                        ("module-hom-associativity", (a, i, j), canon(lhs), canon(rhs))
-                    )
-                    if stop_early:
-                        return _report(violations)
-    return _report(violations)
+    return _report(_module_axioms(module.action, module._tcols, alg.mul, alg._tcols), stop_early)
 
 
 def verify_hom_comodule(comodule, stop_early=False):
@@ -602,36 +601,8 @@ def verify_hom_comodule(comodule, stop_early=False):
     Axioms: (phi (x) beta) phi = (eps (x) Delta) phi and
     (eps (x) beta) phi = phi eps.
     """
-    violations = []
-    coalg = comodule.coalgebra
-    for a in range(comodule.mdim):
-        lhs = {}
-        rhs = {}
-        for (b, i), coeff in comodule.coaction_vector(a).items():
-            for c, ec in comodule._tcols[b].items():
-                for j, bj in coalg._tcols[i].items():
-                    _add_scaled(lhs, coeff * ec * bj, {(c, j): Fraction(1)})
-        for b, ea in comodule._tcols[a].items():
-            _add_scaled(rhs, ea, comodule.coaction_vector(b))
-        if lhs != rhs:
-            violations.append(("comodule-twist-compatibility", (a,), canon(lhs), canon(rhs)))
-            if stop_early:
-                return _report(violations)
-    for a in range(comodule.mdim):
-        lhs = {}
-        rhs = {}
-        for (b, i), coeff in comodule.coaction_vector(a).items():
-            for (c, j), inner in comodule.coaction_vector(b).items():
-                for l, bl in coalg._tcols[i].items():
-                    _add_scaled(lhs, coeff * inner * bl, {(c, j, l): Fraction(1)})
-            for c, ec in comodule._tcols[b].items():
-                for (j, l), dl in coalg.comul_vector(i).items():
-                    _add_scaled(rhs, coeff * ec * dl, {(c, j, l): Fraction(1)})
-        if lhs != rhs:
-            violations.append(("comodule-hom-coassociativity", (a,), canon(lhs), canon(rhs)))
-            if stop_early:
-                return _report(violations)
-    return _report(violations)
+    axioms = _module_axioms(*_module_of(comodule), *_algebra_of(comodule.coalgebra))
+    return _report(_dual(axioms), stop_early)
 
 
 def dualize_module(module):
@@ -640,16 +611,8 @@ def dualize_module(module):
     coaction[a][(b,i)] = action[(b,i)][a] and the comodule twist is the
     transpose of the module twist, over the dual coalgebra of the algebra.
     """
-    coaction = {}
-    for (b, i), vec in module.action.items():
-        for a, coeff in vec.items():
-            coaction.setdefault(a, {})[(b, i)] = coeff
-    return FiniteHomComodule(
-        dualize_algebra(module.algebra),
-        module.mdim,
-        coaction,
-        module.mtwist.transpose(),
-    )
+    coalgebra, mtwist = dualize_algebra(module.algebra), module.mtwist.transpose()
+    return FiniteHomComodule(coalgebra, module.mdim, _flip(module.action), mtwist)
 
 
 def check_module_morphism(source, target, candidate):
@@ -662,20 +625,11 @@ def check_module_morphism(source, target, candidate):
     if source.algebra != target.algebra:
         raise InputError("module morphism check needs a common underlying algebra")
     _check_map_shape(candidate, source.mdim, target.mdim)
-    alg = source.algebra
-    violations = []
-    for a in range(source.mdim):
-        for i in range(alg.dim):
-            lhs = candidate.apply_sparse(source.action_vector(a, i))
-            rhs = target.act(candidate.col(a), alg._tcols[i])
-            if lhs != rhs:
-                violations.append(("action-compat", (a, i), canon(lhs), canon(rhs)))
-    for a in range(source.mdim):
-        lhs = target.mtwist_apply(candidate.col(a))
-        rhs = candidate.apply_sparse(source._tcols[a])
-        if lhs != rhs:
-            violations.append(("twist-compat", (a,), canon(lhs), canon(rhs)))
-    return _report(violations)
+    axioms = _module_morphism_axioms(
+        candidate._cols, source.action, source._tcols, target.action, target._tcols,
+        source.algebra._tcols,
+    )
+    return _report(axioms)
 
 
 def check_comodule_morphism(source, target, candidate):
@@ -688,33 +642,7 @@ def check_comodule_morphism(source, target, candidate):
     if source.coalgebra != target.coalgebra:
         raise InputError("comodule morphism check needs a common underlying coalgebra")
     _check_map_shape(candidate, source.mdim, target.mdim)
-    coalg = source.coalgebra
-    violations = []
-    for a in range(source.mdim):
-        lhs = {}
-        for b, fa in candidate.col(a).items():
-            _add_scaled(lhs, fa, target.coaction_vector(b))
-        rhs = {}
-        for (b, i), coeff in source.coaction_vector(a).items():
-            for c, fc in candidate.col(b).items():
-                for j, bj in coalg._tcols[i].items():
-                    _add_scaled(rhs, coeff * fc * bj, {(c, j): Fraction(1)})
-        if lhs != rhs:
-            violations.append(("coaction-compat", (a,), canon(lhs), canon(rhs)))
-    for a in range(source.mdim):
-        lhs = target.mtwist_apply(candidate.col(a))
-        rhs = candidate.apply_sparse(source._tcols[a])
-        if lhs != rhs:
-            violations.append(("twist-compat", (a,), canon(lhs), canon(rhs)))
-    return _report(violations)
-
-
-def dualize_module_morphism(candidate):
-    """Adjoint of a module morphism: transpose, direction reversed.
-
-    If sigma: M -> N passes the module morphism check, the adjoint passes
-    the comodule morphism check from the dual of N to the dual of M.
-    """
-    return LinearMapCandidate(
-        candidate.target_dim, candidate.source_dim, candidate.matrix.transpose()
-    )
+    adjoint = _transpose(candidate._cols, target.mdim)
+    tw = _transpose(source.coalgebra._tcols, source.coalgebra.dim)
+    axioms = _module_morphism_axioms(adjoint, *_module_of(target), *_module_of(source), tw)
+    return _report(_dual(axioms))

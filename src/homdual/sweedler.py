@@ -14,10 +14,11 @@ from .exact_math import Matrix, rat, rat_str
 from .homalg_core import (
     AxiomReport,
     FiniteHomAlgebra,
-    FiniteHomCoalgebra,
     LinearMapCandidate,
+    _add_scaled,
     canon,
     check_algebra_morphism,
+    dualize_algebra,
     verify_hom_algebra,
 )
 from .qplane import monomial_str
@@ -77,14 +78,6 @@ class QuotientPresentation:
     def project_index(self, key):
         """Index of an ambient monomial in the quotient basis, None if it dies."""
         return self.key_index.get(self._canon_key(key))
-
-    def project(self, key):
-        """Coordinate vector of the image of an ambient monomial (zero if in J)."""
-        vec = [Fraction(0)] * self.dim
-        idx = self.project_index(key)
-        if idx is not None:
-            vec[idx] = Fraction(1)
-        return vec
 
     def ambient_product(self, key1, key2):
         """Twisted product of two ambient monomials: (coefficient, monomial key)."""
@@ -350,14 +343,21 @@ def quotient_dual_coalgebra(quotient):
     """The Hom-coalgebra carried by the dual basis of a quotient presentation.
 
     Row l of the comultiplication is the comultiplication of the l-th dual
-    basis functional; the twist is the transpose of the quotient twist.
+    basis functional, Delta(d_l)(e_i (x) e_j) = qmul[(i, j)][l]: the whole
+    coalgebra is the finite dual of the quotient algebra.
     """
-    comul = {}
-    for l in range(quotient.dim):
-        delta = sweedler_delta(quotient, dual_basis_functional(quotient, l))
-        if delta.terms:
-            comul[l] = dict(delta.terms)
-    return FiniteHomCoalgebra(quotient.dim, comul, quotient.qtwist.transpose())
+    return dualize_algebra(quotient.as_hom_algebra())
+
+
+def _checked_morphism(source, target, induced):
+    """The induced matrix as a map of quotient algebras; MorphismError if it is not one."""
+    candidate = LinearMapCandidate(
+        source.dim, target.dim, induced if isinstance(induced, Matrix) else Matrix(induced)
+    )
+    report = check_algebra_morphism(source.as_hom_algebra(), target.as_hom_algebra(), candidate)
+    if not report.passed:
+        raise MorphismError("induced map is not a morphism of the quotient algebras", report)
+    return candidate
 
 
 def pullback_functional(source, target, induced, functional):
@@ -369,16 +369,8 @@ def pullback_functional(source, target, induced, functional):
     f after the morphism, i.e. the transpose applied to the coefficients.
     """
     _require_same_quotient(target, functional)
-    candidate = LinearMapCandidate(
-        source.dim, target.dim, induced if isinstance(induced, Matrix) else Matrix(induced)
-    )
-    report = check_algebra_morphism(source.as_hom_algebra(), target.as_hom_algebra(), candidate)
-    if not report.passed:
-        raise MorphismError(
-            "induced map is not a morphism of the quotient algebras", report
-        )
-    coeffs = candidate.matrix.transpose().apply(functional.coeffs)
-    return SweedlerFunctional(source, coeffs)
+    candidate = _checked_morphism(source, target, induced)
+    return SweedlerFunctional(source, candidate.matrix.transpose().apply(functional.coeffs))
 
 
 def check_pullback_naturality(source, target, induced):
@@ -389,38 +381,17 @@ def check_pullback_naturality(source, target, induced):
     and the dual twist of the pullback equals the pullback of the dual
     twist.  Violations are reported in canonical sparse form.
     """
-    candidate = LinearMapCandidate(
-        source.dim, target.dim, induced if isinstance(induced, Matrix) else Matrix(induced)
-    )
-    report = check_algebra_morphism(
-        source.as_hom_algebra(), target.as_hom_algebra(), candidate
-    )
-    if not report.passed:
-        raise MorphismError(
-            "induced map is not a morphism of the quotient algebras", report
-        )
-    tmat = candidate.matrix.transpose()
-    pulls = [
-        SweedlerFunctional(source, tmat.col(t)) for t in range(target.dim)
-    ]
+    tmat = _checked_morphism(source, target, induced).matrix.transpose()
+    pulls = [SweedlerFunctional(source, tmat.col(t)) for t in range(target.dim)]
+    sparse = [{a: c for a, c in enumerate(pull.coeffs) if c != 0} for pull in pulls]
     violations = []
     for t in range(target.dim):
         f = dual_basis_functional(target, t)
         lhs = sweedler_delta(source, pulls[t]).terms
         rhs = {}
         for (i, j), coeff in sweedler_delta(target, f).terms.items():
-            for a, la in enumerate(pulls[i].coeffs):
-                if la == 0:
-                    continue
-                for b, rb in enumerate(pulls[j].coeffs):
-                    if rb == 0:
-                        continue
-                    key = (a, b)
-                    new = rhs.get(key, Fraction(0)) + coeff * la * rb
-                    if new == 0:
-                        rhs.pop(key, None)
-                    else:
-                        rhs[key] = new
+            for a, la in sparse[i].items():
+                _add_scaled(rhs, coeff * la, {(a, b): rb for b, rb in sparse[j].items()})
         if lhs != rhs:
             violations.append(("delta-naturality", (t,), canon(lhs), canon(rhs)))
         lhs_tw = sweedler_twist(source, pulls[t]).coeffs

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import decimal
 import json
 import subprocess
 import sys
@@ -139,6 +140,32 @@ def test_expand_hom_power_matches_formula():
     a = run("expand", "--op", "hom-power", "--n", "3", "--q", "5/3", "--k", "2")
     b = run("expand", "--op", "qbinom-formula", "--n", "3", "--q", "5/3", "--k", "2")
     assert report(a)["result"]["poly"] == report(b)["result"]["poly"]
+
+
+def test_expand_prints_coefficients_past_the_int_digit_limit():
+    # the x^200 coefficient is k^(n(n+1)/2 - 1) = 3^20099, about 9,600 digits
+    proc = run("expand", "--op", "hom-power", "--n", "200", "--q", "2", "--k", "3")
+    assert proc.returncode == 0, proc.stderr
+    doc = report(proc)
+    assert doc["status"] == "pass"
+    coeffs = {(m, n): c for m, n, c in doc["result"]["terms"]}
+    assert len(coeffs) == 201
+    assert int(decimal.Decimal(coeffs[(200, 0)])) == 3 ** 20099
+
+
+def test_overlong_literal_is_an_input_error(tmp_path):
+    doc = json.loads((INSTANCES / "dual_numbers.json").read_text())
+    doc["twist"][0][0] = "1" * 5000
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(doc))
+    proc = run("verify", str(p))
+    assert proc.returncode == 2
+    assert "twist" in proc.stderr
+    assert report(proc)["status"] == "error"
+    p.write_text('{"kind": "hom-algebra", "dim": %s}' % ("1" * 5000))
+    proc = run("verify", str(p))
+    assert proc.returncode == 2
+    assert report(proc)["status"] == "error"
 
 
 def test_expand_rejects_bad_word():

@@ -1,3 +1,4 @@
+import decimal
 import random
 from fractions import Fraction
 
@@ -25,6 +26,24 @@ def test_rat_str_canonical():
     assert rat_str(Fraction(4, 2)) == "2"
     assert rat_str(Fraction(-3, 9)) == "-1/3"
     assert rat_str("5/10") == "1/2"
+
+
+def test_rat_str_renders_past_the_int_digit_limit():
+    big = 7 ** 9000  # 7,606 digits, more than str() converts by default
+    text = rat_str(big)
+    assert len(text) == 7606 and int(decimal.Decimal(text)) == big
+    num, den = rat_str(Fraction(-1, big)).split("/")
+    assert num == "-1" and int(decimal.Decimal(den)) == big
+    num, den = rat_str(Fraction(big, 3)).split("/")
+    assert int(decimal.Decimal(num)) == big and den == "3"
+
+
+def test_rat_rejects_overlong_literal():
+    with pytest.raises(InputError):
+        rat("9" * 5000)
+    with pytest.raises(InputError):
+        rat("1/" + "9" * 5000)
+    assert rat("9" * 4000) == 10 ** 4000 - 1
 
 
 def test_matrix_basic_ops():
