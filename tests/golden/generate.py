@@ -1,4 +1,4 @@
-"""Golden report corpus: every structure check, dual and CLI report, frozen.
+"""Golden report corpus: every structure check, dual, recursion and CLI report, frozen.
 
 Each case is a named thunk whose result is rendered as compact canonical
 JSON.  corpus.json stores one case per line: the JSON itself when it is
@@ -14,8 +14,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +43,15 @@ from homdual.homalg_core import (
     verify_hom_coalgebra,
     verify_hom_comodule,
     verify_hom_module,
+)
+from homdual.qplane import qbinom
+from homdual.recseq import (
+    BiPoly,
+    BiSequence,
+    generate_sequence,
+    minimal_bipoly,
+    quantum_convolution,
+    row_minimal_polys,
 )
 from homdual.sweedler import (
     check_pullback_naturality,
@@ -84,15 +95,15 @@ def _guarded(thunk):
         return out
 
 
-def _cli(*argv):
+def _cli(*argv, cwd=ROOT):
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(ROOT)
+    back = os.getcwd()
+    os.chdir(cwd)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.dispatch(list(argv))
     finally:
-        os.chdir(cwd)
+        os.chdir(back)
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -343,6 +354,168 @@ def _cli_cases(cases):
     )
 
 
+# ------------------------------------------------------------------ recseq
+
+QS = ("1", "-1", "2", "5/3")
+
+
+def _cli_tables(tables, *argv):
+    """Run the CLI in a scratch directory holding {file name: BiSequence}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, table in tables.items():
+            Path(tmp, name).write_text(json.dumps(documents.bisequence_doc(table)))
+        return _cli(*argv, cwd=tmp)
+
+
+def _instance_table(name):
+    doc = json.loads((ROOT / "instances" / name).read_text(encoding="utf-8"))
+    return documents.load_bisequence(doc)
+
+
+def _random_table(rng, M, N):
+    return BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M, N)
+
+
+def _sparse01_table(seed):
+    """Mostly-zero 0/1 tables; several have annihilator kernels of dimension 2 or 3."""
+    rng = random.Random(seed)
+    M = rng.choice((4, 5, 6))
+    density = rng.choice((0.1, 0.2, 0.3))
+    return BiSequence.from_function(lambda m, n: int(rng.random() < density), M, M)
+
+
+def _recursive_table(rng, M, N):
+    """A table filled from a random h of bidegree <= (2, 2): low complexity."""
+    r, s = rng.randint(0, 2), rng.randint(1, 2)
+    coeffs = {
+        (i, j): rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+        for i in range(r + 1)
+        for j in range(s + 1)
+        if (i, j) != (0, 0) and rng.random() < 0.6
+    }
+    h = BiPoly(r, s, coeffs)
+    boundary = {
+        (m, n): rng.randint(-3, 3)
+        for m in range(M + 1)
+        for n in range(N + 1)
+        if m < r or n < s
+    }
+    return generate_sequence(h, rng.randint(1, 3), rng.choice(QS), boundary, M, N)
+
+
+def _found(found):
+    if found is None:
+        return None
+    r, s, h = found
+    return [r, s, documents.bipoly_doc(h)]
+
+
+def _rows(polys):
+    return [
+        [[p.degree, _plain(p.coeffs)] if p is not None else None for p in side]
+        for side in polys
+    ]
+
+
+def _seq_minpoly_cases(cases):
+    for name, rmax, smax in (
+        ("delannoy_table_8x8.json", 3, 3),
+        ("ones_6x6.json", 2, 2),
+        ("ones_12x6.json", 1, 2),
+        ("delannoy_boundary_8x8.json", 2, 2),
+    ):
+        cases["cli/seq-minpoly/%s/%d-%d" % (name, rmax, smax)] = (
+            lambda name=name, rmax=rmax, smax=smax: _cli(
+                "seq-minpoly", "--table", "instances/" + name,
+                "--rmax", str(rmax), "--smax", str(smax),
+            )
+        )
+    rng = random.Random("seq-minpoly")
+    tables = {"zero": BiSequence.constant(0, 5, 5)}
+    for n in range(6):
+        tables["recursive-%d" % n] = _recursive_table(rng, 7, 7)
+    for n in range(3):
+        tables["random-%d" % n] = _random_table(rng, 6, 6)
+    tables["factorial"] = BiSequence.from_function(
+        lambda m, n: math.factorial(m + n) * math.factorial(m), 4, 4
+    )
+    for seed in (8, 46, 49, 100, 117, 139, 146):
+        tables["sparse01-%d" % seed] = _sparse01_table(seed)
+    for label, table in tables.items():
+        bound = min(table.M, table.N) // 2
+        for rmax, smax in ((bound, bound), (1, bound)):
+            cases["cli/seq-minpoly/%s/%d-%d" % (label, rmax, smax)] = (
+                lambda table=table, rmax=rmax, smax=smax: _cli_tables(
+                    {"t.json": table}, "seq-minpoly", "--table", "t.json",
+                    "--rmax", str(rmax), "--smax", str(smax),
+                )
+            )
+        cases["minimal-bipoly/%s" % label] = (
+            lambda table=table, bound=bound: _found(minimal_bipoly(table, bound, bound))
+        )
+
+
+def _convolve_cases(cases):
+    rng = random.Random("convolve")
+    for q in QS:
+        for M, N in ((0, 0), (3, 5), (5, 8)):
+            f, g = _random_table(rng, M + N, N), _random_table(rng, M, N)
+            cases["cli/convolve/q=%s/%dx%d" % (q, M, N)] = (
+                lambda f=f, g=g, q=q, M=M, N=N: _cli_tables(
+                    {"f.json": f, "g.json": g}, "convolve", "--f", "f.json",
+                    "--g", "g.json", "--q=" + q, "--M", str(M), "--N", str(N),
+                )
+            )
+        cases["cli/convolve/q=%s/ones" % q] = lambda q=q: _cli(
+            "convolve", "--f", "instances/ones_12x6.json", "--g",
+            "instances/ones_6x6.json", "--q=" + q, "--M", "5", "--N", "5",
+        )
+    f, g = _random_table(rng, 10, 4), _random_table(rng, 6, 4)
+    cases["convolve/q=-1/2"] = lambda: documents.bisequence_doc(
+        quantum_convolution(f, g, Fraction(-1, 2), 6, 4)
+    )
+
+
+def _qbinom_cases(cases):
+    for q, k in (("1", "1"), ("-1", "2"), ("2", "1"), ("5/3", "-1/2")):
+        for n in range(25):
+            cases["cli/expand/qbinom-formula/q=%s/k=%s/n=%d" % (q, k, n)] = (
+                lambda q=q, k=k, n=n: _cli(
+                    "expand", "--op", "qbinom-formula", "--n", str(n),
+                    "--q=" + q, "--k=" + k,
+                )
+            )
+    for q in QS + ("-1/2",):
+        cases["qbinom/q=%s" % q] = lambda q=q: [
+            [rat_str(qbinom(n, i, q)) for i in range(n + 1)] for n in range(13)
+        ]
+    for n, i, q in ((3, 5, 0), (-1, 0, 0), (-1, 0, 2), (3, 4, 2), (3, -1, 2)):
+        cases["qbinom/error/%d-%d-%d" % (n, i, q)] = (
+            lambda n=n, i=i, q=q: _guarded(lambda: rat_str(qbinom(n, i, q)))
+        )
+
+
+def _row_minimal_cases(cases):
+    for name in ("delannoy_table_8x8.json", "ones_6x6.json", "ones_12x6.json"):
+        table = _instance_table(name)
+        for bound in (None, 0, 1, 2):
+            cases["row-minimal-polys/%s/%s" % (name, bound)] = (
+                lambda table=table, bound=bound: _rows(row_minimal_polys(table, bound))
+            )
+    rng = random.Random("row-minimal-polys")
+    tables = {"zero": BiSequence.constant(0, 6, 3)}
+    for n in range(6):
+        tables["recursive-%d" % n] = _recursive_table(rng, 11, 11)
+    for n in range(3):
+        tables["random-%d" % n] = _random_table(rng, 9, 10)
+    for seed in (8, 100, 117):
+        tables["sparse01-%d" % seed] = _sparse01_table(seed)
+    for label, table in tables.items():
+        cases["row-minimal-polys/%s" % label] = (
+            lambda table=table: _rows(row_minimal_polys(table))
+        )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -350,6 +523,10 @@ def cases():
     _quotient_cases(out)
     _error_cases(out)
     _cli_cases(out)
+    _seq_minpoly_cases(out)
+    _convolve_cases(out)
+    _qbinom_cases(out)
+    _row_minimal_cases(out)
     return out
 
 
