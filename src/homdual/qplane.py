@@ -3,7 +3,8 @@
 Variables obey yx = qxy; every element is kept in normal form
 sum c_{m,n} x^m y^n.  The twist scales a monomial of total degree d by k^d,
 and the twisted product of p1 and p2 is twist(p1) twist(p2) under the
-classical quantum-plane product.
+classical quantum-plane product.  Gaussian binomials are read from one
+O(n^2) q-Pascal triangle per call.
 """
 
 from fractions import Fraction
@@ -207,6 +208,17 @@ def hom_power_left(p, n):
     return acc
 
 
+def _qpascal(n, q):
+    """Rows 0..n of the q-Pascal triangle: O(n^2) additions, q^j computed once."""
+    powers = [q ** j for j in range(n + 1)]
+    rows = [[Fraction(1)]]
+    for size in range(1, n + 1):
+        prev = rows[-1]
+        middle = [prev[j - 1] + powers[j] * prev[j] for j in range(1, size)]
+        rows.append([Fraction(1)] + middle + [Fraction(1)])
+    return rows
+
+
 def qbinom(n, i, q):
     """Gaussian binomial at q, via the q-Pascal recurrence.
 
@@ -219,14 +231,7 @@ def qbinom(n, i, q):
         raise InputError("q must be nonzero")
     if i < 0 or n < 0 or i > n:
         raise InputError("need 0 <= i <= n, got (%s, %s)" % (n, i))
-    row = [Fraction(1)]
-    for size in range(1, n + 1):
-        new = [Fraction(1)]
-        for j in range(1, size):
-            new.append(row[j - 1] + q ** j * row[j])
-        new.append(Fraction(1))
-        row = new
-    return row[i]
+    return _qpascal(n, q)[n][i]
 
 
 def quantum_binomial_expand(n, params):
@@ -240,7 +245,8 @@ def quantum_binomial_expand(n, params):
     if n == 0:
         return QPoly.one(params)
     kpow = params.k ** (((n - 1) * (n + 2)) // 2)
-    terms = {(i, n - i): qbinom(n, i, params.q) * kpow for i in range(n + 1)}
+    row = _qpascal(n, params.q)[n]
+    terms = {(i, n - i): row[i] * kpow for i in range(n + 1)}
     return QPoly(params, terms)
 
 

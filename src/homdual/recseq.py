@@ -6,16 +6,20 @@ yields a recursion stencil.  The recursions here come in two flavors: the
 plain displays (generate_sequence, weights in q only) and the fully twisted
 path (derive_recursion / generate_sequence_derived) obtained by expanding
 the defining annihilation condition with the twisted product itself.
-annihilation_residual is the independent oracle shared by both.
+annihilation_residual is the independent oracle shared by both.  The exact
+searches cost O(len^2) per row (Berlekamp-Massey), one kernel of a
+cols+1-row prefix plus O(rows*cols) substitution per bidegree, and one
+O(N^2) q-Pascal triangle per convolution.
 """
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 
 from .errors import InputError
 from .exact_math import Matrix, mat_kernel, rat, rat_str
-from .qplane import QParams, QPoly, eval_functional, hom_product, qbinom
+from .qplane import QParams, QPoly, _qpascal, eval_functional, hom_product
 
 
 class CaseId(IntEnum):
@@ -117,12 +121,6 @@ class RecursionStencil:
     m: int
     n: int
     coeffs: tuple  # sorted ((i, j), value) pairs
-
-    def coeff(self, i, j):
-        for (a, b), val in self.coeffs:
-            if (a, b) == (i, j):
-                return val
-        return Fraction(0)
 
     def as_dict(self):
         return {key: val for key, val in self.coeffs}
@@ -279,13 +277,14 @@ def quantum_convolution(f, g, q, M, N):
         raise InputError("first table must extend to (M+N, N) = (%d, %d)" % (M + N, N))
     if g.M < M or g.N < N:
         raise InputError("second table must extend to (M, N) = (%d, %d)" % (M, N))
+    binom = _qpascal(N, q)
     grid = []
     for m in range(M + 1):
         row = []
         for n in range(N + 1):
             total = Fraction(0)
             for t in range(n + 1):
-                total += qbinom(n, t, q) * f.entry(m + t, n - t) * g.entry(m, t)
+                total += binom[n][t] * f.grid[m + t][n - t] * g.grid[m][t]
             row.append(total)
         grid.append(row)
     return BiSequence(M, N, grid)
@@ -299,19 +298,47 @@ def _bidegree_candidates(rmax, smax):
                 yield (r, s)
 
 
+def _integral(values, scale=None):
+    """The values times scale (default: their common denominator), as ints."""
+    scale = scale or math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _certified_kernel(rows, cols):
+    """mat_kernel(rows), solved on a prefix and certified on the other rows.
+
+    The prefix kernel contains the full one; if every later row vanishes on
+    its basis the kernels, hence the row spaces, RREFs and mat_kernel bases,
+    are equal.  Otherwise the prefix doubles, up to the whole system.
+    """
+    size = cols + 1
+    while True:
+        kernel = mat_kernel(Matrix(rows[:size], cols=cols))
+        vectors = [_integral(vec.col(0)) for vec in kernel]
+        if size >= len(rows) or all(
+            sum(a * x for a, x in zip(row, v)) == 0 for row in rows[size:] for v in vectors
+        ):
+            return kernel
+        size *= 2
+
+
 def minimal_bipoly(f, rmax, smax):
     """Smallest monic annihilator of a table, or None.
 
     Bidegrees are searched by increasing r+s with ties broken by smaller r.
     For each candidate the annihilation equations over every interior cell
-    form an exact linear system solved through the kernel; the first kernel
-    basis vector with a nonzero inhomogeneous coordinate gives the
-    coefficients.  Returns (r, s, BiPoly).
+    form an exact linear system solved through the (prefix-certified)
+    kernel; the first kernel basis vector with a nonzero inhomogeneous
+    coordinate gives the coefficients.  Returns (r, s, BiPoly).
     """
+    if rmax < 0 or smax < 0:
+        raise InputError("degree bounds must be nonnegative, got (%d, %d)" % (rmax, smax))
     if f.M < 2 * rmax or f.N < 2 * smax:
         raise InputError(
             "table too small: need M >= %d and N >= %d" % (2 * rmax, 2 * smax)
         )
+    scale = math.lcm(*(v.denominator for row in f.grid for v in row))
+    grid = [_integral(row, scale) for row in f.grid]  # integer rows, same kernels
     for r, s in _bidegree_candidates(rmax, smax):
         positions = [
             (i, j) for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)
@@ -319,11 +346,10 @@ def minimal_bipoly(f, rmax, smax):
         rows = []
         for m in range(r, f.M + 1):
             for n in range(s, f.N + 1):
-                row = [f.entry(m - i, n - j) for (i, j) in positions]
-                row.append(-f.entry(m, n))
+                row = [grid[m - i][n - j] for (i, j) in positions]
+                row.append(-grid[m][n])
                 rows.append(row)
-        kernel = mat_kernel(Matrix(rows, cols=len(positions) + 1))
-        for vec in kernel:
+        for vec in _certified_kernel(rows, len(positions) + 1):
             t = vec[(len(positions), 0)]
             if t != 0:
                 coeffs = {
@@ -380,23 +406,35 @@ def format_unipoly(p):
 
 
 def _min_univariate(seq, dmax):
-    """Minimal monic annihilator of a finite sequence up to degree dmax."""
-    for d in range(dmax + 1):
-        if d == 0:
-            if all(v == 0 for v in seq):
-                return UniPoly(0, [])
+    """Minimal monic annihilator of a finite sequence up to degree dmax.
+
+    Fraction-free Berlekamp-Massey (Massey 1969) on the integer-scaled
+    sequence tracks the linear complexity L and a primitive integer multiple
+    of conn = 1 - c_1 x - ... - c_L x^L (s_p = sum c_i s_(p-i), L <= p < len).
+    L never decreases, so it stops once L > dmax.  If 2L <= len (always so for
+    dmax <= len/2) the annihilator is unique: the one a kernel solve gives.
+    """
+    seq = _integral(seq)
+    conn, prev = [1], [1]
+    length, gap, prev_disc = 0, 1, 1
+    for n in range(len(seq)):
+        disc = sum(conn[i] * seq[n - i] for i in range(length + 1))
+        if disc == 0:
+            gap += 1
             continue
-        rows = []
-        for p in range(d, len(seq)):
-            rows.append([seq[p - i] for i in range(1, d + 1)] + [-seq[p]])
-        if not rows:
-            continue
-        kernel = mat_kernel(Matrix(rows, cols=d + 1))
-        for vec in kernel:
-            t = vec[(d, 0)]
-            if t != 0:
-                return UniPoly(d, [vec[(i, 0)] / t for i in range(d)])
-    return None
+        new = [prev_disc * c for c in conn] + [0] * (gap + len(prev) - len(conn))
+        for i, b in enumerate(prev):
+            new[gap + i] -= disc * b
+        content = math.gcd(*new)
+        new = [c // content for c in new]
+        if 2 * length <= n:
+            prev, prev_disc, length, gap = conn, disc, n + 1 - length, 1
+            if length > dmax:
+                return None
+        else:
+            gap += 1
+        conn = new
+    return UniPoly(length, [Fraction(-c, conn[0]) for c in conn[1:]])
 
 
 def row_minimal_polys(f, max_degree=None):
@@ -405,8 +443,10 @@ def row_minimal_polys(f, max_degree=None):
     Returns (x_polys, y_polys): x_polys[n] annihilates m -> f_{m,n}, and
     y_polys[m] annihilates n -> f_{m,n}.  Rows too short for the requested
     degree bound raise; entries are None when no annihilator exists within
-    the bound.
+    the bound.  Each row costs one O(len^2) Berlekamp-Massey pass.
     """
+    if max_degree is not None and max_degree < 0:
+        raise InputError("degree bound must be nonnegative, got %d" % max_degree)
     x_bound = (f.M + 1) // 2 if max_degree is None else max_degree
     y_bound = (f.N + 1) // 2 if max_degree is None else max_degree
     if f.M + 1 < 2 * x_bound or f.N + 1 < 2 * y_bound:

@@ -237,6 +237,16 @@ def test_seq_minpoly_recovers_delannoy():
     assert doc["result"]["bipoly"]["coeffs"] == [[0, 1, "1"], [1, 0, "1"], [1, 1, "1"]]
 
 
+def test_seq_minpoly_rejects_negative_degree_bounds():
+    for rmax, smax in (("-1", "1"), ("1", "-1"), ("-3", "5")):
+        proc = run("seq-minpoly", "--table", "instances/ones_6x6.json",
+                   "--rmax=" + rmax, "--smax=" + smax)
+        assert proc.returncode == 2
+        doc = report(proc)
+        assert doc["status"] == "error"
+        assert "nonnegative" in doc["error"]
+
+
 # ---------------------------------------------------------------- convolve
 
 

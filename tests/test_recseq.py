@@ -6,7 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from homdual import recseq
 from homdual.errors import InputError
+from homdual.exact_math import Matrix, mat_kernel
+from homdual.qplane import QParams, qbinom, quantum_binomial_expand
 from homdual.recseq import (
     BiPoly,
     BiSequence,
@@ -222,8 +225,8 @@ def test_stencil_apply():
     st = derive_recursion(DELANNOY_H, 1, 2, 2, 1, 1)
     t = delannoy_table(2, 2)
     assert st.apply(t) == t.entry(2, 2)
-    assert st.coeff(1, 1) == 1
-    assert st.coeff(5, 5) == 0
+    assert st.as_dict()[(1, 1)] == 1
+    assert (5, 5) not in st.as_dict()
 
 
 # ------------------------------------------------------------- convolution
@@ -355,6 +358,13 @@ def test_minimal_bipoly_too_small():
         minimal_bipoly(BiSequence.constant(1, 3, 3), 2, 2)
 
 
+def test_minimal_bipoly_rejects_negative_bounds():
+    table = BiSequence.constant(1, 5, 5)
+    for rmax, smax in ((-1, 1), (1, -1), (-3, 5)):
+        with pytest.raises(InputError, match="nonnegative"):
+            minimal_bipoly(table, rmax, smax)
+
+
 def test_minimal_bipoly_none_when_out_of_reach():
     # factorial growth in both directions defeats bidegree (1, 1)
     table = BiSequence.from_function(
@@ -401,3 +411,179 @@ def test_row_minimal_polys_zero_row():
 def test_row_minimal_polys_bound_errors():
     with pytest.raises(InputError):
         row_minimal_polys(BiSequence.constant(1, 3, 3), max_degree=4)
+    with pytest.raises(InputError, match="nonnegative"):
+        row_minimal_polys(BiSequence.constant(1, 3, 3), max_degree=-1)
+
+
+# ------------------------------------------- differential: the exact solvers
+#
+# Each replaced solver is compared with the one it replaced, kept here as the
+# reference and built only from the public mat_kernel.
+
+
+def kernel_min_univariate(seq, dmax):
+    """Reference: one full kernel solve per candidate degree."""
+    for d in range(dmax + 1):
+        if d == 0:
+            if all(v == 0 for v in seq):
+                return UniPoly(0, [])
+            continue
+        rows = [[seq[p - i] for i in range(1, d + 1)] + [-seq[p]] for p in range(d, len(seq))]
+        if not rows:
+            continue
+        for vec in mat_kernel(Matrix(rows, cols=d + 1)):
+            t = vec[(d, 0)]
+            if t != 0:
+                return UniPoly(d, [vec[(i, 0)] / t for i in range(d)])
+    return None
+
+
+def sequence_families(rng, length):
+    """length sequences of each kind: random, low-complexity, sparse 0/+-1, zero."""
+    out = {"random": [], "low": [], "sparse": [], "zero": []}
+    for _ in range(length):
+        out["random"].append([Fraction(rng.randint(-5, 5)) for _ in range(length)])
+        d = rng.randint(1, max(1, length // 3))
+        coeffs = [rng.choice((-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))) for _ in range(d)]
+        seq = [Fraction(rng.randint(-3, 3)) for _ in range(d)]
+        while len(seq) < length:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coeffs)))
+        out["low"].append(seq[:length])
+        out["sparse"].append(
+            [Fraction(rng.choice((0, 0, 0, 0, 1, -1))) for _ in range(length)]
+        )
+        out["zero"].append([Fraction(0)] * length)
+    return out
+
+
+def test_row_annihilators_match_kernel_search():
+    # Every column of the square table is one sequence and every row one more;
+    # row_minimal_polys must give the kernel search's answer at every bound.
+    rng = random.Random(20261018)
+    compared = hits = 0
+    for length in range(1, 13):
+        for kind, seqs in sequence_families(rng, length).items():
+            table = BiSequence.from_function(lambda m, n: seqs[n][m], length - 1, length - 1)
+            rows = [[seqs[n][m] for n in range(length)] for m in range(length)]
+            refs = [kernel_min_univariate(seq, length // 2) for seq in seqs + rows]
+            for dmax in range(length // 2 + 1):
+                xs, ys = row_minimal_polys(table, max_degree=dmax)
+                for got, ref in zip(xs + ys, refs):
+                    want = ref if ref is not None and ref.degree <= dmax else None
+                    assert got == want, (kind, length, dmax)
+                    compared += 1
+                    hits += want is not None
+    assert compared > 2000 and hits > 500
+
+
+def bipoly_system(table, r, s):
+    """(positions, rows) of the annihilation system at bidegree (r, s)."""
+    positions = [(i, j) for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)]
+    rows = [
+        [table.entry(m - i, n - j) for (i, j) in positions] + [-table.entry(m, n)]
+        for m in range(r, table.M + 1)
+        for n in range(s, table.N + 1)
+    ]
+    return positions, rows
+
+
+def differential_tables():
+    """Sparse 0/1 tables and tables with low-bidegree annihilators, 9 x 9."""
+    rng = random.Random(20261018)
+    for density in (0.05, 0.1, 0.2, 0.3):
+        yield BiSequence.from_function(lambda m, n: int(rng.random() < density), 8, 8)
+    for r, s in ((1, 1), (0, 2), (2, 1), (1, 2)):
+        coeffs = {(i, j): rng.choice((-1, 1, 2, Fraction(1, 2)))
+                  for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)}
+        boundary = {key: rng.randint(-3, 3) for key in ones_boundary(r, s, 8, 8)}
+        yield generate_sequence(BiPoly(r, s, coeffs), 1, 1, boundary, 8, 8)
+
+
+def test_certified_kernel_matches_full_kernel():
+    multi = 0
+    for table in differential_tables():
+        for r, s in recseq._bidegree_candidates(3, 3):
+            positions, rows = bipoly_system(table, r, s)
+            cols = len(positions) + 1
+            full = mat_kernel(Matrix(rows, cols=cols))
+            assert recseq._certified_kernel(rows, cols) == full
+            multi += len(full) > 1 and len(rows) > cols + 1
+    assert multi >= 20  # tall systems whose kernel has dimension > 1
+
+
+def kernel_minimal_bipoly(f, rmax, smax):
+    """Reference: the full kernel of every candidate system."""
+    for r, s in recseq._bidegree_candidates(rmax, smax):
+        positions, rows = bipoly_system(f, r, s)
+        for vec in mat_kernel(Matrix(rows, cols=len(positions) + 1)):
+            t = vec[(len(positions), 0)]
+            if t != 0:
+                coeffs = {positions[idx]: vec[(idx, 0)] / t for idx in range(len(positions))}
+                return (r, s, BiPoly(r, s, coeffs))
+    return None
+
+
+def test_minimal_bipoly_matches_full_kernel_search():
+    found = 0
+    for table in differential_tables():
+        for rmax, smax in ((1, 1), (2, 2), (1, 3), (4, 4)):
+            want = kernel_minimal_bipoly(table, rmax, smax)
+            assert minimal_bipoly(table, rmax, smax) == want
+            found += want is not None
+    assert found >= 12
+
+
+def test_certified_kernel_against_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    for table in differential_tables():
+        for r, s in recseq._bidegree_candidates(2, 2):
+            positions, rows = bipoly_system(table, r, s)
+            cols = len(positions) + 1
+            want = [
+                [Fraction(int(x.p), int(x.q)) for x in vec]
+                for vec in sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                                         for row in rows]).nullspace()
+            ]
+            got = [vec.col(0) for vec in recseq._certified_kernel(rows, cols)]
+            assert got == want
+
+
+def reference_qbinom(q):
+    """Per-entry q-Pascal recurrence, memoized on (n, i)."""
+    memo = {}
+
+    def binom(n, i):
+        if i == 0 or i == n:
+            return Fraction(1)
+        if (n, i) not in memo:
+            memo[(n, i)] = binom(n - 1, i - 1) + q ** i * binom(n - 1, i)
+        return memo[(n, i)]
+
+    return binom
+
+
+def test_qpascal_paths_match_per_entry_recurrence():
+    rng = random.Random(20261018)
+    for q in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(5, 3)):
+        binom = reference_qbinom(q)
+        for n in range(16):
+            assert [qbinom(n, i, q) for i in range(n + 1)] == [binom(n, i) for i in range(n + 1)]
+            params = QParams(q, Fraction(3, 2))
+            kpow = params.k ** ((n - 1) * (n + 2) // 2) if n else 1
+            want = {(i, n - i): binom(n, i) * kpow for i in range(n + 1) if binom(n, i)}
+            assert quantum_binomial_expand(n, params).terms == want
+        for M in (0, 2, 4):
+            for N in (0, 1, 5, 9):
+                f = BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M + N, N)
+                g = BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M, N)
+                want = [
+                    [
+                        sum(binom(n, t) * f.entry(m + t, n - t) * g.entry(m, t) for t in range(n + 1))
+                        for n in range(N + 1)
+                    ]
+                    for m in range(M + 1)
+                ]
+                assert quantum_convolution(f, g, q, M, N) == BiSequence(M, N, want)
+    # q == 0 is rejected before the index range is looked at
+    with pytest.raises(InputError, match="q must be nonzero"):
+        qbinom(-1, 5, 0)
