@@ -3,7 +3,8 @@
 Reads JSON structure documents, dispatches to the library, and prints one
 canonical JSON report per invocation (sorted keys, exact "p/q" scalars).
 Exit codes: 0 result or verification pass, 1 verification failure, 2 bad
-input or schema.
+input or schema.  The argument parser is built once per process, by the
+first dispatch.
 """
 
 import argparse
@@ -383,14 +384,22 @@ def build_parser():
     return parser
 
 
+# The parser of this process, built by the first dispatch rather than at
+# import, so a cmd_* handler replaced before then (say, wrapped to time it)
+# is the one the parser calls.
+_PARSER = None
+
+
 def dispatch(argv):
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
-    if args.handler is cmd_verify and not args.all and not args.file:
+    if args.command == "verify" and not args.all and not args.file:
         sys.stderr.write("error: verify needs a file or --all DIR\n")
         return 2
     try:

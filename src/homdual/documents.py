@@ -242,6 +242,8 @@ def load_quotient(doc):
         )
     if family == "tensor":
         twists = _need(params, "twists", "quotient")
+        if not isinstance(twists, list):
+            raise InputError("quotient document: field 'twists' must be a list of rationals")
         try:
             twists = [rat(t) for t in twists]
         except (InputError, TypeError):
@@ -284,6 +286,10 @@ def load_bipoly(doc):
         if not (isinstance(item, list) and len(item) == 3):
             raise InputError("bipoly document: field 'coeffs' entries must be [i, j, coeff]")
         i, j, coeff = item
+        if type(i) is not int or type(j) is not int:  # bool is not an index either
+            raise InputError(
+                "bipoly document: field 'coeffs' indices must be integers, got %r" % ([i, j],)
+            )
         try:
             coeffs[(i, j)] = rat(coeff)
         except InputError:

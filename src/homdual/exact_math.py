@@ -56,6 +56,24 @@ def rat_str(value):
         return num if den == "1" else "%s/%s" % (num, den)
 
 
+class _Memo(dict):
+    """f(key), computed on first use and then read back: e.g. a table of powers.
+
+    Owned by one call or one quotient, never by the module, so it holds only
+    the keys its owner asks for.
+    """
+
+    __slots__ = ("f",)
+
+    def __init__(self, f):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
 class Matrix:
     """Immutable dense matrix of Rationals, row-major."""
 

@@ -335,9 +335,6 @@ class LinearMapCandidate:
     def col(self, i):
         return self._cols[i]
 
-    def apply_sparse(self, vec):
-        return _apply(self._cols, vec)
-
 
 # The engine.  Each axiom is a lazy sweep yielding (basis input tuple, lhs,
 # rhs) in report order, both sides sparse over the output basis; tuples where

@@ -3,14 +3,17 @@
 Variables obey yx = qxy; every element is kept in normal form
 sum c_{m,n} x^m y^n.  The twist scales a monomial of total degree d by k^d,
 and the twisted product of p1 and p2 is twist(p1) twist(p2) under the
-classical quantum-plane product.  Gaussian binomials are read from one
-O(n^2) q-Pascal triangle per call.
+classical quantum-plane product.  A product or twist computes each power
+q^e and k^d once per call, and builds its result without re-normalising
+coefficients that are already nonzero Fractions; at k = 1 the twist is the
+identity.  Gaussian binomials are read from one O(n^2) q-Pascal triangle
+per call.
 """
 
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_math import rat, rat_str
+from .exact_math import _Memo, rat, rat_str
 
 
 class QParams:
@@ -99,24 +102,6 @@ class QPoly:
     def __repr__(self):
         return "QPoly(%s)" % format_qpoly(self)
 
-    def add(self, other):
-        _same_params(self, other)
-        terms = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = terms.get(key, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = new
-        return QPoly(self.params, terms)
-
-    def scale(self, factor):
-        factor = rat(factor)
-        return QPoly(self.params, {key: factor * c for key, c in self.terms.items()})
-
-    def sub(self, other):
-        return self.add(other.scale(-1))
-
 
 def _same_params(p1, p2):
     if p1.params != p2.params:
@@ -168,27 +153,42 @@ def normal_order(word, params):
     return QPoly.monomial(params, xs, ys, params.q ** inversions)
 
 
+def _normal(params, terms):
+    """QPoly on terms already in normal form, without the checks of QPoly.__init__."""
+    p = object.__new__(QPoly)
+    object.__setattr__(p, "params", params)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
 def classical_product(p1, p2):
     """Bilinear extension of (x^a y^b)(x^c y^d) = q^(bc) x^(a+c) y^(b+d)."""
     _same_params(p1, p2)
     q = p1.params.q
+    qpow = None if q == 1 else _Memo(lambda e: q ** e)
     terms = {}
     for (a, b), c1 in p1.terms.items():
         for (c, d), c2 in p2.terms.items():
             key = (a + c, b + d)
-            add = c1 * c2 * q ** (b * c)
-            new = terms.get(key, Fraction(0)) + add
-            if new == 0:
-                terms.pop(key, None)
-            else:
+            add = c1 * c2
+            if qpow is not None and b and c:
+                add *= qpow[b * c]
+            old = terms.get(key)
+            new = add if old is None else old + add
+            if new:
                 terms[key] = new
-    return QPoly(p1.params, terms)
+            else:
+                del terms[key]
+    return _normal(p1.params, terms)
 
 
 def twist(p):
-    """Scale each term x^m y^n by k^(m+n)."""
+    """Scale each term x^m y^n by k^(m+n); k = 1 returns p itself."""
     k = p.params.k
-    return QPoly(p.params, {(m, n): c * k ** (m + n) for (m, n), c in p.terms.items()})
+    if k == 1:
+        return p
+    kpow = _Memo(lambda d: k ** d)
+    return _normal(p.params, {(m, n): c * kpow[m + n] for (m, n), c in p.terms.items()})
 
 
 def hom_product(p1, p2):

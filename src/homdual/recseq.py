@@ -67,8 +67,8 @@ class BiPoly:
 
     def as_qpoly(self, params):
         terms = {(self.r, self.s): Fraction(1)}
-        for (i, j), val in self.coeffs.items():
-            terms[(self.r - i, self.s - j)] = terms.get((self.r - i, self.s - j), Fraction(0)) - val
+        for (i, j), val in self.coeffs.items():  # (i, j) != (0, 0): distinct keys
+            terms[(self.r - i, self.s - j)] = -val
         return QPoly(params, terms)
 
 

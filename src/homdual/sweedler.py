@@ -5,12 +5,17 @@ monomial ideal that is two-sided and twist-stable.  On the finite quotient,
 the dual of the multiplication table gives the comultiplication on
 functionals, the transpose of the twist gives the dual twist, and
 functionals pull back along quotient-level morphisms by the transpose.
+
+Each quotient computes the powers of its q and k once, on first use: its
+builder and its ambient product (swept by verify_quotient) read them from
+tables the quotient owns, and a tensor quotient multiplies letter twists
+once per word.
 """
 
 from fractions import Fraction
 
 from .errors import InputError, MorphismError
-from .exact_math import Matrix, rat, rat_str
+from .exact_math import Matrix, _Memo, rat, rat_str
 from .homalg_core import (
     AxiomReport,
     FiniteHomAlgebra,
@@ -87,6 +92,13 @@ class QuotientPresentation:
         return FiniteHomAlgebra(self.dim, self.qmul, self.qtwist)
 
 
+def _diagonal(values):
+    """The twist of a monomial family: a dense diagonal Matrix."""
+    return Matrix(
+        [[v if a == b else Fraction(0) for b in range(len(values))] for a, v in enumerate(values)]
+    )
+
+
 def make_poly_quotient(N, k):
     """Truncated one-variable twisted algebra: powers x^0..x^N.
 
@@ -98,23 +110,31 @@ def make_poly_quotient(N, k):
         raise InputError("k must be nonzero")
     if N < 0:
         raise InputError("N must be nonnegative")
+    kpow = _Memo(lambda d: k ** d)
     keys = list(range(N + 1))
     labels = [monomial_str(a, 0) for a in keys]
     qmul = {}
     for a in keys:
         for b in keys:
             if a + b <= N:
-                qmul[(a, b)] = {a + b: k ** (a + b)}
-    qtwist = Matrix(
-        [[k ** a if a == b else Fraction(0) for b in keys] for a in keys]
-    )
+                qmul[(a, b)] = {a + b: kpow[a + b]}
+    qtwist = _diagonal([kpow[a] for a in keys])
 
     def ambient(a, b):
-        return (k ** (a + b), a + b)
+        return (kpow[a + b], a + b)
 
     return QuotientPresentation(
         "poly", {"N": N, "k": k}, labels, keys, qmul, qtwist, ambient
     )
+
+
+def _words(alphabet_size, n):
+    """Words of length <= n as letter-index tuples, by length, then lexicographically."""
+    words = frontier = [()]
+    for _ in range(n):
+        frontier = [word + (c,) for word in frontier for c in range(alphabet_size)]
+        words.extend(frontier)
+    return words
 
 
 def _word_label(word, alphabet_size):
@@ -141,34 +161,21 @@ def make_tensor_quotient(alphabet_size, n, letter_twists):
         raise InputError("need one twist per letter")
     if any(t == 0 for t in twists):
         raise InputError("letter twists must be nonzero")
-    keys = [()]
-    frontier = [()]
-    for _ in range(n):
-        frontier = [word + (c,) for word in frontier for c in range(alphabet_size)]
-        keys.extend(frontier)
+    keys = _words(alphabet_size, n)
 
-    def word_twist(word):
-        out = Fraction(1)
-        for c in word:
-            out *= twists[c]
-        return out
-
+    # the twist of a word: one multiplication per word, on first use
+    word_twist = _Memo(lambda w: word_twist[w[:-1]] * twists[w[-1]] if w else Fraction(1))
     labels = [_word_label(w, alphabet_size) for w in keys]
     index = {w: i for i, w in enumerate(keys)}
     qmul = {}
     for i, u in enumerate(keys):
         for j, v in enumerate(keys):
             if len(u) + len(v) <= n:
-                qmul[(i, j)] = {index[u + v]: word_twist(u) * word_twist(v)}
-    qtwist = Matrix(
-        [
-            [word_twist(keys[a]) if a == b else Fraction(0) for b in range(len(keys))]
-            for a in range(len(keys))
-        ]
-    )
+                qmul[(i, j)] = {index[u + v]: word_twist[u] * word_twist[v]}
+    qtwist = _diagonal([word_twist[w] for w in keys])
 
     def ambient(u, v):
-        return (word_twist(u) * word_twist(v), u + v)
+        return (word_twist[u] * word_twist[v], u + v)
 
     return QuotientPresentation(
         "tensor",
@@ -196,6 +203,9 @@ def make_qplane_quotient(R, S, q, k):
         raise InputError("k must be nonzero")
     if R < 0 or S < 0:
         raise InputError("R and S must be nonnegative")
+    kpow = _Memo(lambda d: k ** d)
+    qpow = _Memo(lambda e: q ** e)
+    weight = _Memo(lambda de: kpow[de[0]] * qpow[de[1]])  # k^d q^e
     keys = [(a, b) for a in range(R + 1) for b in range(S + 1)]
     labels = [monomial_str(a, b) for a, b in keys]
     index = {key: i for i, key in enumerate(keys)}
@@ -203,21 +213,12 @@ def make_qplane_quotient(R, S, q, k):
     for i, (a, b) in enumerate(keys):
         for j, (c, d) in enumerate(keys):
             if a + c <= R and b + d <= S:
-                coeff = k ** (a + b + c + d) * q ** (b * c)
-                qmul[(i, j)] = {index[(a + c, b + d)]: coeff}
-    qtwist = Matrix(
-        [
-            [
-                k ** (keys[a][0] + keys[a][1]) if a == b else Fraction(0)
-                for b in range(len(keys))
-            ]
-            for a in range(len(keys))
-        ]
-    )
+                qmul[(i, j)] = {index[(a + c, b + d)]: weight[a + b + c + d, b * c]}
+    qtwist = _diagonal([weight[a + b, 0] for a, b in keys])
 
     def ambient(key1, key2):
         (a, b), (c, d) = key1, key2
-        return (k ** (a + b + c + d) * q ** (b * c), (a + c, b + d))
+        return (weight[a + b + c + d, b * c], (a + c, b + d))
 
     return QuotientPresentation(
         "qplane", {"R": R, "S": S, "q": q, "k": k}, labels, keys, qmul, qtwist, ambient
@@ -304,10 +305,6 @@ class TensorFunctional:
     def triples(self):
         """Sorted (left-index, right-index, coefficient) triples."""
         return tuple((i, j, c) for (i, j), c in sorted(self.terms.items()))
-
-    def pairing(self, i, j):
-        """Value on the basis tensor e_i (x) e_j."""
-        return self.terms.get((i, j), Fraction(0))
 
 
 def _require_same_quotient(quotient, functional):
@@ -468,17 +465,15 @@ def verify_quotient(quotient, degree_margin=1):
     agrees with the quotient table applied to the projections.
     """
     violations = list(verify_hom_algebra(quotient.as_hom_algebra()).violations)
+    # the swept keys are canonical already, so they index the tables directly
+    index = quotient.key_index.get
+    ambient = quotient._ambient_product
     for key1, key2 in _ambient_pairs(quotient, degree_margin):
-        coeff, key = quotient.ambient_product(key1, key2)
-        lhs = {}
-        idx = quotient.project_index(key)
-        if idx is not None and coeff != 0:
-            lhs[idx] = coeff
-        rhs = {}
-        i = quotient.project_index(key1)
-        j = quotient.project_index(key2)
-        if i is not None and j is not None:
-            rhs = dict(quotient.qmul.get((i, j), {}))
+        coeff, key = ambient(key1, key2)
+        idx = index(key)
+        lhs = {idx: coeff} if idx is not None and coeff != 0 else {}
+        # a pair with a key outside the basis (index None) is in no table entry
+        rhs = quotient.qmul.get((index(key1), index(key2)), {})
         if lhs != rhs:
             violations.append(
                 ("quotient-projection-consistency", (key1, key2), canon(lhs), canon(rhs))
@@ -493,12 +488,7 @@ def _ambient_pairs(quotient, margin):
         return ((a, b) for a in rng for b in rng)
     if quotient.family == "tensor":
         length = 2 * quotient.params["n"] + margin
-        alphabet = quotient.params["alphabet"]
-        words = [()]
-        frontier = [()]
-        for _ in range(length):
-            frontier = [w + (c,) for w in frontier for c in range(alphabet)]
-            words.extend(frontier)
+        words = _words(quotient.params["alphabet"], length)
         return (
             (u, v) for u in words for v in words if len(u) + len(v) <= length
         )

@@ -2,9 +2,14 @@
 
 import decimal
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from homdual import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -85,6 +90,34 @@ def test_malformed_document_names_the_field(tmp_path):
 def test_verify_boundary_table_with_nulls():
     proc = run("verify", "instances/delannoy_boundary_8x8.json")
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("index", [["a", 0], [0, "b"], [1.5, 0], [True, 0], [None, 1]])
+@pytest.mark.parametrize("command", ["verify", "seq-gen", "seq-oracle"])
+def test_bipoly_index_must_be_an_integer(tmp_path, capsys, command, index):
+    h = tmp_path / "h.json"
+    h.write_text(json.dumps({"kind": "bipoly", "r": 1, "s": 1, "coeffs": [[*index, "1"]]}))
+    argv = {
+        "verify": ["verify", str(h)],
+        "seq-gen": ["seq-gen", "--h", str(h), "--case", "1", "--q", "1",
+                    "--boundary", "ones", "--M", "3", "--N", "3"],
+        "seq-oracle": ["seq-oracle", "--table", str(INSTANCES / "ones_6x6.json"),
+                       "--h", str(h), "--case", "1", "--q", "1", "--all"],
+    }[command]
+    assert cli.dispatch(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert "field 'coeffs' indices must be integers" in doc["error"]
+
+
+def test_tensor_twists_must_be_a_list(tmp_path):
+    doc = json.loads((INSTANCES / "tensor_quotient_a2_n2.json").read_text())
+    doc["params"]["twists"] = "12"
+    p = tmp_path / "q.json"
+    p.write_text(json.dumps(doc))
+    proc = run("verify", str(p))
+    assert proc.returncode == 2
+    assert "field 'twists' must be a list" in report(proc)["error"]
 
 
 # ----------------------------------------------------------------- dualize
@@ -278,3 +311,45 @@ def test_reports_are_byte_identical_across_runs():
         assert first.returncode == 0
         assert first.stdout == second.stdout
         assert first.stdout.endswith("\n")
+
+
+# ------------------------------------------------------------ parser reuse
+
+
+ORACLE = ["seq-oracle", "--table", str(INSTANCES / "delannoy_table_8x8.json"),
+          "--h", str(INSTANCES / "delannoy.json"), "--q", "1", "--all"]
+
+
+def test_dispatch_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build():
+        built.append(None)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for _ in range(3):
+        assert cli.dispatch(ORACLE + ["--case", "1"]) == 0
+        assert cli.dispatch(ORACLE + ["--case", "7"]) == 2
+        assert cli.dispatch(["expand", "--op", "hom-power", "--n", "3", "--q", "2"]) == 0
+        assert cli.dispatch(["verify"]) == 2
+    assert len(built) == 1
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
+    # an argparse error, help, then a valid run: each as if first in the process
+    calls = [ORACLE + ["--case", "7"], ["--help"], ORACLE + ["--case", "1"]]
+    env = dict(os.environ, COLUMNS="80")
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    codes = []
+    for argv in calls:
+        fresh = subprocess.run([sys.executable, "-m", "homdual", *argv], cwd=ROOT,
+                               env=env, capture_output=True, text=True)
+        code = cli.dispatch(argv)
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0]

@@ -1,6 +1,7 @@
 """Twisted quantum-plane arithmetic, against hand expansions and brute force."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,94 @@ def test_eval_functional():
         eval_functional(table, mono(P21, 4, 0))
     with pytest.raises(InputError):
         eval_functional(table, "xy")
+
+
+# ------------------------------------------- power tables against the definitions
+
+
+def naive_classical(p1, p2):
+    q = p1.params.q
+    terms = {}
+    for (a, b), c1 in p1.terms.items():
+        for (c, d), c2 in p2.terms.items():
+            key = (a + c, b + d)
+            terms[key] = terms.get(key, Fraction(0)) + c1 * c2 * q ** (b * c)
+    return QPoly(p1.params, terms)
+
+
+def naive_twist(p):
+    k = p.params.k
+    return QPoly(p.params, {(m, n): c * k ** (m + n) for (m, n), c in p.terms.items()})
+
+
+def naive_hom(p1, p2):
+    return naive_classical(naive_twist(p1), naive_twist(p2))
+
+
+def naive_power(p, n):
+    acc = QPoly.one(p.params)
+    if n:
+        acc = p
+        for _ in range(n - 1):
+            acc = naive_hom(acc, p)
+    return acc
+
+
+def random_poly(rng, params):
+    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 5))
+    return QPoly(params, {
+        (rng.randrange(4), rng.randrange(4)): rng.choice(coeffs)
+        for _ in range(rng.randrange(1, 6))
+    })
+
+
+def assert_normal_form(p):
+    for (m, n), c in p.terms.items():
+        assert type(m) is int and type(n) is int and m >= 0 and n >= 0
+        assert type(c) is Fraction and c != 0
+
+
+def test_power_table_products_match_the_definitions():
+    rng = random.Random(20240518)
+    values = (1, -1, 2, Fraction(-1, 2), Fraction(5, 3))
+    cancelled = 0
+    for q in values:
+        for k in values:
+            params = QParams(q, k)
+            for _ in range(12):
+                p1, p2 = random_poly(rng, params), random_poly(rng, params)
+                got = classical_product(p1, p2)
+                assert got == naive_classical(p1, p2)
+                assert_normal_form(got)
+                pairs = {(a + c, b + d) for a, b in p1.terms for c, d in p2.terms}
+                cancelled += len(pairs) - len(got.terms)
+                for p in (p1, p2):
+                    assert twist(p) == naive_twist(p)
+                    assert_normal_form(twist(p))
+                got = hom_product(p1, p2)
+                assert got == naive_hom(p1, p2)
+                assert_normal_form(got)
+            base = random_poly(rng, params)
+            for n in range(5):
+                got = hom_power_left(base, n)
+                assert got == naive_power(base, n)
+                assert_normal_form(got)
+    assert cancelled > 0  # the sweep reaches sums that cancel to zero
+
+
+def test_power_table_products_cancel_exactly():
+    # (x + y)(x - y) = x^2 - y^2 at q = 1, and (x + y)(x + y) = x^2 + y^2 at q = -1
+    for q, sign in ((1, -1), (-1, 1)):
+        params = QParams(q, 2)
+        p1 = QPoly(params, {(1, 0): 1, (0, 1): 1})
+        p2 = QPoly(params, {(1, 0): 1, (0, 1): sign})
+        expected = {(2, 0): 1, (0, 2): sign}
+        assert classical_product(p1, p2).terms == expected
+        assert hom_product(p1, p2).terms == {key: 4 * c for key, c in expected.items()}
+        assert hom_product(p1, p2) == naive_hom(p1, p2)
+        assert_normal_form(hom_product(p1, p2))
+
+
+def test_twist_at_k_one_is_the_argument():
+    p = QPoly(QParams(2, 1), {(1, 2): 3, (0, 0): -1})
+    assert twist(p) is p

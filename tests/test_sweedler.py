@@ -26,6 +26,7 @@ from homdual.sweedler import (
     sweedler_twist,
     verify_quotient,
 )
+from homdual.sweedler import _ambient_pairs
 
 
 def square_matrix(dim):
@@ -332,3 +333,46 @@ def test_quotient_grid_verifies():
     for q in (1, 2):
         for k in (1, 3):
             assert verify_quotient(make_qplane_quotient(2, 2, q, k)).passed
+
+
+# ------------------------------------------- power tables against the formulas
+
+
+def word_twist(twists, word):
+    out = Fraction(1)
+    for c in word:
+        out *= twists[c]
+    return out
+
+
+def family_cases():
+    values = (-1, 2, Fraction(-1, 2), Fraction(5, 3))
+    for k in values:
+        for N in (0, 2, 4):
+            yield make_poly_quotient(N, k), lambda a, b, k=k: (k ** (a + b), a + b)
+    for twists in ((2, Fraction(-1, 2)), (Fraction(5, 3), -1, 2)):
+        for n in (0, 1, 2):
+            yield make_tensor_quotient(len(twists), n, twists), lambda u, v, t=twists: (
+                word_twist(t, u) * word_twist(t, v), u + v)
+    for q in values:
+        for k in values:
+            yield make_qplane_quotient(2, 1, q, k), lambda m1, m2, q=q, k=k: (
+                k ** (sum(m1) + sum(m2)) * q ** (m1[1] * m2[0]),
+                (m1[0] + m2[0], m1[1] + m2[1]))
+
+
+def test_ambient_products_match_the_family_formulas():
+    families = set()
+    for quotient, formula in family_cases():
+        families.add(quotient.family)
+        pairs = 0
+        for key1, key2 in _ambient_pairs(quotient, 1):
+            assert quotient.ambient_product(key1, key2) == formula(key1, key2)
+            pairs += 1
+        assert pairs > quotient.dim ** 2
+        for (i, j), vec in quotient.qmul.items():
+            coeff, key = formula(quotient.keys[i], quotient.keys[j])
+            assert vec == {quotient.key_index[key]: coeff}
+        for i, key in enumerate(quotient.keys):
+            assert quotient.qtwist.entries[i][i] == formula(key, quotient.keys[0])[0]
+    assert families == {"poly", "tensor", "qplane"}
