@@ -5,9 +5,13 @@ JSON.  corpus.json stores one case per line: the JSON itself when it is
 short, otherwise "sha256:<hex digest of the rendering>".  test_golden.py
 re-renders every case and compares byte for byte.
 
-Regenerate (only when a report format changes on purpose):
+Extend the corpus by adding cases here and running
 
     PYTHONPATH=src python tests/golden/generate.py
+
+It only adds new case names: it writes nothing and exits nonzero, listing
+the names, if a case already in corpus.json renders differently or is gone.
+To re-freeze a case on purpose, delete its line from corpus.json by hand.
 """
 
 import contextlib
@@ -54,6 +58,8 @@ from homdual.recseq import (
     row_minimal_polys,
 )
 from homdual.sweedler import (
+    SweedlerFunctional,
+    add_functionals,
     check_pullback_naturality,
     dual_basis_functional,
     make_poly_quotient,
@@ -61,6 +67,8 @@ from homdual.sweedler import (
     make_tensor_quotient,
     pullback_functional,
     quotient_dual_coalgebra,
+    sweedler_twist,
+    verify_quotient,
 )
 from homdual.zoo import zoo_algebras
 
@@ -251,8 +259,8 @@ def _morphism_cases(cases, name, alg, dual, module, comodule):
         )
 
 
-def _quotient_cases(cases):
-    families = {
+def _families():
+    return {
         "poly-N3-k2": make_poly_quotient(3, 2),
         "poly-N6-k1": make_poly_quotient(6, 1),
         "poly-N5-k3/2": make_poly_quotient(5, Fraction(3, 2)),
@@ -261,6 +269,10 @@ def _quotient_cases(cases):
         "qplane-R2-S2-q2-k3": make_qplane_quotient(2, 2, 2, 3),
         "qplane-R3-S2-q-1/2-k2": make_qplane_quotient(3, 2, Fraction(-1, 2), 2),
     }
+
+
+def _quotient_cases(cases):
+    families = _families()
     for name, quo in families.items():
         alg = quo.as_hom_algebra()
         cases["quotient/%s/dual" % name] = (
@@ -314,6 +326,113 @@ def _quotient_cases(cases):
     )
 
 
+def _sum(functional):
+    """A functional with its quotient's family and parameters."""
+    quotient = functional.quotient
+    return {
+        "params": documents.quotient_doc(quotient),
+        "labels": quotient.labels,
+        "coeffs": _plain(functional.coeffs),
+    }
+
+
+def _rescaling(big, small, scale):
+    """Bench-style quotient morphism big -> small: rescale each monomial, kill the rest."""
+    index = {key: i for i, key in enumerate(small.keys)}
+    rows = [[Fraction(0)] * big.dim for _ in range(small.dim)]
+    for col, key in enumerate(big.keys):
+        if key in index:
+            rows[index[key]][col] = scale(key)
+    return Matrix(rows, cols=big.dim)
+
+
+def _family_cases(cases):
+    """verify_quotient margins, dual twists, sums over merged boxes, rescaling pullbacks."""
+    for name, quo in _families().items():
+        for margin in (0, 1, 2):
+            cases["quotient/%s/verify-margin-%d" % (name, margin)] = (
+                lambda quo=quo, margin=margin: _report(verify_quotient(quo, margin))
+            )
+        top = dual_basis_functional(quo, quo.dim - 1)
+        cases["quotient/%s/twist-top" % name] = (
+            lambda quo=quo, top=top: _plain(sweedler_twist(quo, top).coeffs)
+        )
+
+    def mutated():
+        quo = make_qplane_quotient(2, 2, 2, 3)
+        quo.qmul[(1, 3)] = {4: Fraction(5)}
+        return _report(verify_quotient(quo))
+
+    cases["quotient/qplane-R2-S2-q2-k3/verify-mutated"] = mutated
+
+    rng = random.Random("add-functionals")
+    pairs = {
+        "same-poly": (make_poly_quotient(3, 2), make_poly_quotient(3, 2)),
+        "same-qplane": (make_qplane_quotient(2, 1, 2, 3),) * 2,
+        "poly": (make_poly_quotient(3, Fraction(3, 2)), make_poly_quotient(5, Fraction(3, 2))),
+        "tensor": (
+            make_tensor_quotient(2, 3, (2, Fraction(-1, 2))),
+            make_tensor_quotient(2, 1, (2, Fraction(-1, 2))),
+        ),
+        "qplane": (
+            make_qplane_quotient(2, 1, Fraction(-1, 2), 2),
+            make_qplane_quotient(1, 3, Fraction(-1, 2), 2),
+        ),
+    }
+    for label, (qa, qb) in pairs.items():
+        f = SweedlerFunctional(qa, [rng.choice((0, 1, -2, Fraction(1, 3))) for _ in range(qa.dim)])
+        g = SweedlerFunctional(qb, [rng.choice((0, 1, -2, Fraction(1, 3))) for _ in range(qb.dim)])
+        cases["add-functionals/%s" % label] = lambda f=f, g=g: _sum(add_functionals(f, g))
+        cases["add-functionals/%s/swapped" % label] = lambda f=f, g=g: _sum(add_functionals(g, f))
+
+    rng = random.Random("rescaling")
+    boxes = {
+        "qplane-R3-S2-to-R1-S1": (
+            make_qplane_quotient(3, 2, Fraction(-1, 2), 2),
+            make_qplane_quotient(1, 1, Fraction(-1, 2), 2),
+        ),
+        "qplane-R2-S2-to-R1-S2": (
+            make_qplane_quotient(2, 2, 2, Fraction(5, 3)),
+            make_qplane_quotient(1, 2, 2, Fraction(5, 3)),
+        ),
+        "tensor-a2-n3-to-n1": (
+            make_tensor_quotient(2, 3, (2, Fraction(-1, 2))),
+            make_tensor_quotient(2, 1, (2, Fraction(-1, 2))),
+        ),
+        "tensor-a3-n2-to-n1": (
+            make_tensor_quotient(3, 2, (Fraction(1, 2), -1, 3)),
+            make_tensor_quotient(3, 1, (Fraction(1, 2), -1, 3)),
+        ),
+    }
+    scales = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2))
+    for label, (big, small) in boxes.items():
+        if big.family == "qplane":
+            sx, sy = rng.choice(scales), rng.choice(scales)
+            scale = lambda key, sx=sx, sy=sy: sx ** key[0] * sy ** key[1]
+        else:
+            letters = [rng.choice(scales) for _ in range(big.params["alphabet"])]
+            scale = lambda word, letters=letters: math.prod(
+                (letters[c] for c in word), start=Fraction(1)
+            )
+        good = _rescaling(big, small, scale)
+        rows = [list(row) for row in good.entries]
+        rows[0][0] = Fraction(2)
+        bad = Matrix(rows, cols=big.dim)
+        f = SweedlerFunctional(small, [rng.choice((1, -1, Fraction(2, 3))) for _ in range(small.dim)])
+        for kind, matrix in (("morphism", good), ("non-morphism", bad)):
+            prefix = "rescaling/%s/%s" % (label, kind)
+            cases[prefix + "/naturality"] = (
+                lambda big=big, small=small, matrix=matrix: _guarded(
+                    lambda: _report(check_pullback_naturality(big, small, matrix))
+                )
+            )
+            cases[prefix + "/pullback"] = (
+                lambda big=big, small=small, matrix=matrix, f=f: _guarded(
+                    lambda: _plain(pullback_functional(big, small, matrix, f).coeffs)
+                )
+            )
+
+
 def _error_cases(cases):
     alg = make_poly_quotient(2, 1).as_hom_algebra()
     other = make_poly_quotient(2, 2).as_hom_algebra()
@@ -352,6 +471,60 @@ def _cli_cases(cases):
         "--functional",
         ",".join(["0"] * 8 + ["1"]),
     )
+
+
+def _cli_documents(docs, *argv):
+    """Run the CLI in a scratch directory holding {file name: JSON document}."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in docs.items():
+            Path(tmp, name).write_text(json.dumps(doc))
+        return _cli(*argv, cwd=tmp)
+
+
+def _quotient_document_cases(cases):
+    """CLI verify on quotient documents that hit each loader and builder error."""
+    docs = {
+        "no-family": {"params": {"N": 2, "k": "1"}},
+        "no-params": {"family": "poly"},
+        "params-list": {"family": "poly", "params": [2, "1"]},
+        "unknown-family": {"family": "cubic", "params": {"N": 2, "k": "1"}},
+        "unknown-family-list": {"family": ["poly"], "params": {"N": 2, "k": "1"}},
+        "unknown-family-no-params": {"family": "cubic"},
+        "poly-no-N": {"family": "poly", "params": {"k": "1"}},
+        "poly-no-k": {"family": "poly", "params": {"N": 2}},
+        "poly-N-negative": {"family": "poly", "params": {"N": -1, "k": "1"}},
+        "poly-N-string": {"family": "poly", "params": {"N": "2", "k": "1"}},
+        "poly-k-zero": {"family": "poly", "params": {"N": 2, "k": "0"}},
+        "poly-k-float": {"family": "poly", "params": {"N": 2, "k": 0.5}},
+        "poly-two-faults": {"family": "poly", "params": {"N": -1, "k": "0"}},
+        "tensor-no-twists": {"family": "tensor", "params": {"alphabet": 2, "n": 2}},
+        "tensor-no-alphabet": {"family": "tensor", "params": {"n": 2, "twists": ["1", "2"]}},
+        "tensor-no-n": {"family": "tensor", "params": {"alphabet": 2, "twists": ["1", "2"]}},
+        "tensor-alphabet-zero": {"family": "tensor", "params": {"alphabet": 0, "n": 2, "twists": []}},
+        "tensor-n-negative": {"family": "tensor", "params": {"alphabet": 1, "n": -1, "twists": ["1"]}},
+        "tensor-twists-string": {"family": "tensor", "params": {"alphabet": 2, "n": 2, "twists": "12"}},
+        "tensor-twists-bad": {"family": "tensor", "params": {"alphabet": 2, "n": 2, "twists": ["1", "x"]}},
+        "tensor-twists-short": {"family": "tensor", "params": {"alphabet": 2, "n": 2, "twists": ["1"]}},
+        "tensor-twists-long": {"family": "tensor", "params": {"alphabet": 1, "n": 2, "twists": ["1", "2"]}},
+        "tensor-twists-zero": {"family": "tensor", "params": {"alphabet": 2, "n": 2, "twists": ["1", "0"]}},
+        "tensor-two-faults": {"family": "tensor", "params": {"alphabet": 0, "n": 2, "twists": "12"}},
+        "tensor-two-faults-n": {"family": "tensor", "params": {"alphabet": 2, "n": -1, "twists": ["0", "1"]}},
+        "tensor-two-faults-builder": {"family": "tensor", "params": {"alphabet": 2, "n": 1, "twists": ["0"]}},
+        "qplane-no-R": {"family": "qplane", "params": {"S": 1, "q": "2", "k": "1"}},
+        "qplane-no-q": {"family": "qplane", "params": {"R": 1, "S": 1, "k": "1"}},
+        "qplane-S-negative": {"family": "qplane", "params": {"R": 1, "S": -1, "q": "2", "k": "1"}},
+        "qplane-q-zero": {"family": "qplane", "params": {"R": 1, "S": 1, "q": "0", "k": "1"}},
+        "qplane-k-zero": {"family": "qplane", "params": {"R": 1, "S": 1, "q": "2", "k": "0"}},
+        "qplane-q-and-k-zero": {"family": "qplane", "params": {"R": 1, "S": 1, "q": "0", "k": "0"}},
+        "qplane-q-bad": {"family": "qplane", "params": {"R": 1, "S": 1, "q": "1/0", "k": "1"}},
+        "qplane-valid": {"family": "qplane", "params": {"R": 1, "S": 2, "q": "-1/2", "k": "5/3"}},
+        "tensor-valid": {"family": "tensor", "params": {"alphabet": 2, "n": 1, "twists": [2, "-1/2"]}},
+    }
+    for label, doc in docs.items():
+        doc = dict(doc, kind="quotient")
+        cases["cli/verify/quotient-doc/" + label] = lambda doc=doc: _cli_documents(
+            {"q.json": doc}, "verify", "q.json"
+        )
 
 
 # ------------------------------------------------------------------ recseq
@@ -521,8 +694,10 @@ def cases():
     out = {}
     _zoo_cases(out)
     _quotient_cases(out)
+    _family_cases(out)
     _error_cases(out)
     _cli_cases(out)
+    _quotient_document_cases(out)
     _seq_minpoly_cases(out)
     _convolve_cases(out)
     _qbinom_cases(out)
@@ -552,13 +727,23 @@ def load_corpus():
 
 
 def main():
+    frozen = load_corpus() if CORPUS.exists() else {}
+    rendered = {name: digest(render(thunk)) for name, thunk in cases().items()}
+    changed = [name for name, value in frozen.items() if rendered.get(name) != value]
+    if changed:
+        raise SystemExit(
+            "%d frozen cases differ or are gone; nothing written:\n  %s"
+            % (len(changed), "\n  ".join(changed))
+        )
     lines = []
-    for name, thunk in cases().items():
-        value = digest(render(thunk))
+    for name, value in rendered.items():
         inline = value if not value.startswith("sha256:") else json.dumps(value)
         lines.append("%s: %s" % (json.dumps(name), inline))
     CORPUS.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print("wrote %d cases to %s" % (len(lines), CORPUS.relative_to(ROOT)))
+    print(
+        "wrote %d cases (%d new) to %s"
+        % (len(lines), len(lines) - len(frozen), CORPUS.name)
+    )
 
 
 if __name__ == "__main__":
