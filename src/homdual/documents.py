@@ -16,9 +16,10 @@ from .homalg_core import (
     FiniteHomComodule,
     FiniteHomModule,
     LinearMapCandidate,
+    _ints,
 )
 from .recseq import BiPoly, BiSequence
-from .sweedler import make_poly_quotient, make_qplane_quotient, make_tensor_quotient
+from .sweedler import FAMILIES
 
 KINDS = (
     "hom-algebra",
@@ -80,6 +81,7 @@ def document_kind(doc):
 def _triples_to_constants(value, kind, field):
     if not isinstance(value, list):
         raise InputError("%s document: field '%s' must be a list" % (kind, field))
+    where = "%s document: field '%s'" % (kind, field)
     table = {}
     for item in value:
         if not (isinstance(item, list) and len(item) == 3):
@@ -88,6 +90,7 @@ def _triples_to_constants(value, kind, field):
                 % (kind, field)
             )
         i, j, vec = item
+        _ints(where, i, j)
         try:
             table[(i, j)] = [rat(v) for v in vec]
         except (InputError, TypeError):
@@ -108,7 +111,9 @@ def _pairs_to_split(value, kind, field):
                 "%s document: field '%s' entries must be [index, [[a, b, coeff], ...]]"
                 % (kind, field)
             )
+    where = "%s document: field '%s'" % (kind, field)
     for source, cells in value:
+        _ints(where, source)
         plane = {}
         for cell in cells:
             if not (isinstance(cell, list) and len(cell) == 3):
@@ -116,6 +121,7 @@ def _pairs_to_split(value, kind, field):
                     "%s document: field '%s' cells must be [a, b, coeff]" % (kind, field)
                 )
             a, b, coeff = cell
+            _ints(where, source, a, b)
             try:
                 plane[(a, b)] = rat(coeff)
             except InputError:
@@ -231,36 +237,37 @@ def comodule_doc(comodule):
     }
 
 
+def _rationals_field(doc, field, kind):
+    value = _need(doc, field, kind)
+    if not isinstance(value, list):
+        raise InputError("%s document: field '%s' must be a list of rationals" % (kind, field))
+    try:
+        return [rat(v) for v in value]
+    except InputError:
+        raise InputError("%s document: field '%s' must list rationals" % (kind, field))
+
+
+# a quotient family's field kinds -> loaders (doc, field, kind) -> value
+_FIELD_KINDS = {
+    "int>=0": _int_field,
+    "int>=1": lambda doc, field, kind: _int_field(doc, field, kind, minimum=1),
+    "rational": _rat_field,
+    "rationals": _rationals_field,
+}
+
+
 def load_quotient(doc):
+    """A quotient of one of the FAMILIES, its fields loaded in the record's order."""
     family = _need(doc, "family", "quotient")
     params = _need(doc, "params", "quotient")
     if not isinstance(params, dict):
         raise InputError("quotient document: field 'params' must be an object")
-    if family == "poly":
-        return make_poly_quotient(
-            _int_field(params, "N", "quotient"), _rat_field(params, "k", "quotient")
-        )
-    if family == "tensor":
-        twists = _need(params, "twists", "quotient")
-        if not isinstance(twists, list):
-            raise InputError("quotient document: field 'twists' must be a list of rationals")
-        try:
-            twists = [rat(t) for t in twists]
-        except (InputError, TypeError):
-            raise InputError("quotient document: field 'twists' must list rationals")
-        return make_tensor_quotient(
-            _int_field(params, "alphabet", "quotient", minimum=1),
-            _int_field(params, "n", "quotient"),
-            twists,
-        )
-    if family == "qplane":
-        return make_qplane_quotient(
-            _int_field(params, "R", "quotient"),
-            _int_field(params, "S", "quotient"),
-            _rat_field(params, "q", "quotient"),
-            _rat_field(params, "k", "quotient"),
-        )
-    raise InputError("quotient document: unknown family %r" % (family,))
+    rules = FAMILIES.get(family) if isinstance(family, str) else None
+    if rules is None:
+        raise InputError("quotient document: unknown family %r" % (family,))
+    return rules.build(
+        {name: _FIELD_KINDS[kind](params, name, "quotient") for name, kind in rules.fields}
+    )
 
 
 def quotient_doc(quotient):

@@ -18,11 +18,12 @@ _RAT_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 def rat(value):
     """Coerce ints, Fractions and "p/q" strings to an exact Rational.
 
-    Floats are rejected: every scalar in this library is exact.
+    Floats are rejected: every scalar in this library is exact.  So are
+    booleans, although Python counts them as ints.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
@@ -104,10 +105,6 @@ class Matrix:
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zeros(cls, rows, cols):
-        return cls([[Fraction(0)] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
     def column(cls, vec):
         """Column vector from a list of scalars."""
         return cls([[x] for x in vec], cols=1)
@@ -133,43 +130,11 @@ class Matrix:
         )
         return "Matrix(%dx%d: %s)" % (self.rows, self.cols, body)
 
-    def row(self, i):
-        return list(self.entries[i])
-
     def col(self, j):
         return [self.entries[i][j] for i in range(self.rows)]
 
     def transpose(self):
         return Matrix([self.col(j) for j in range(self.cols)], cols=self.rows)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise InputError(
-                "matrix product shape mismatch: %dx%d by %dx%d"
-                % (self.rows, self.cols, other.rows, other.cols)
-            )
-        return Matrix(
-            [
-                [
-                    sum(
-                        (self.entries[i][t] * other.entries[t][j] for t in range(self.cols)),
-                        Fraction(0),
-                    )
-                    for j in range(other.cols)
-                ]
-                for i in range(self.rows)
-            ],
-            cols=other.cols,
-        )
-
-    def apply(self, vec):
-        """Matrix times coordinate vector (a list), returning a list."""
-        if len(vec) != self.cols:
-            raise InputError("vector length %d does not match cols %d" % (len(vec), self.cols))
-        return [
-            sum((self.entries[i][j] * vec[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
 
     def is_identity(self):
         if self.rows != self.cols:
@@ -179,12 +144,6 @@ class Matrix:
             for i in range(self.rows)
             for j in range(self.cols)
         )
-
-    def is_invertible(self):
-        if self.rows != self.cols:
-            return False
-        _, pivots = mat_rref(self)
-        return len(pivots) == self.rows
 
 
 def mat_rref(m):

@@ -86,73 +86,54 @@ def _checked_matrix(m, rows, cols, what):
     return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j] != 0} for j in range(cols)]
 
 
-def _norm_constants(data, left, right, out, what):
-    """Normalize 3-index structure constants to {(i, j): {k: nonzero}}.
+def _ints(what, *index):
+    """InputError naming the field unless every index is an int (a bool is not one)."""
+    for i in index:
+        if type(i) is not int:
+            raise InputError("%s indices must be integers, got %r" % (what, index))
 
-    Accepts a nested sequence data[i][j][k] or a dict keyed by (i, j) whose
-    values are either {k: coeff} dicts or length-`out` coefficient lists.
+
+def _items(data, what):
+    if not isinstance(data, dict):
+        raise InputError("%s must be a dict, got %s" % (what, type(data).__name__))
+    return data.items()
+
+
+def _norm_constants(data, left, right, out, what):
+    """Normalize {(i, j): vec} structure constants to {(i, j): {k: nonzero}}.
+
+    Each vec is a {k: coeff} dict or a list of coefficients indexed by k.
     """
     table = {}
-
-    def put(i, j, k, val):
-        val = rat(val)
-        if val == 0:
-            return
-        if not (0 <= i < left and 0 <= j < right and 0 <= k < out):
-            raise InputError("%s index (%d,%d,%d) out of range" % (what, i, j, k))
-        table.setdefault((i, j), {})[k] = val
-
-    if isinstance(data, dict):
-        for key, vec in data.items():
-            i, j = key
-            if isinstance(vec, dict):
-                for k, val in vec.items():
-                    put(i, j, k, val)
-            else:
-                for k, val in enumerate(vec):
-                    put(i, j, k, val)
-    else:
-        if len(data) != left:
-            raise InputError("%s must have %d rows" % (what, left))
-        for i, plane in enumerate(data):
-            if len(plane) != right:
-                raise InputError("%s row %d must have %d entries" % (what, i, right))
-            for j, vec in enumerate(plane):
-                if len(vec) != out:
-                    raise InputError(
-                        "%s entry (%d,%d) must have %d coefficients" % (what, i, j, out)
-                    )
-                for k, val in enumerate(vec):
-                    put(i, j, k, val)
+    for (i, j), vec in _items(data, what):
+        if isinstance(vec, dict):
+            _ints(what, i, j, *vec)
+            vec = vec.items()
+        else:
+            _ints(what, i, j)
+            vec = enumerate(vec)
+        for k, val in vec:
+            val = rat(val)
+            if val == 0:
+                continue
+            if not (0 <= i < left and 0 <= j < right and 0 <= k < out):
+                raise InputError("%s index (%d,%d,%d) out of range" % (what, i, j, k))
+            table.setdefault((i, j), {})[k] = val
     return table
 
 
 def _norm_split(data, src, d1, d2, what):
-    """Normalize to {source-index: {(a, b): nonzero}}.
-
-    Accepts nested data[s][a][b] or a dict {s: {(a, b): coeff}}.
-    """
+    """Normalize {s: {(a, b): coeff}} to the same with the zero coefficients dropped."""
     table = {}
-
-    def put(s, a, b, val):
-        val = rat(val)
-        if val == 0:
-            return
-        if not (0 <= s < src and 0 <= a < d1 and 0 <= b < d2):
-            raise InputError("%s index (%d,%d,%d) out of range" % (what, s, a, b))
-        table.setdefault(s, {})[(a, b)] = val
-
-    if isinstance(data, dict):
-        for s, plane in data.items():
-            for (a, b), val in plane.items():
-                put(s, a, b, val)
-    else:
-        if len(data) != src:
-            raise InputError("%s must have %d rows" % (what, src))
-        for s, plane in enumerate(data):
-            for a, row in enumerate(plane):
-                for b, val in enumerate(row):
-                    put(s, a, b, val)
+    for s, plane in _items(data, what):
+        for (a, b), val in plane.items():
+            _ints(what, s, a, b)
+            val = rat(val)
+            if val == 0:
+                continue
+            if not (0 <= s < src and 0 <= a < d1 and 0 <= b < d2):
+                raise InputError("%s index (%d,%d,%d) out of range" % (what, s, a, b))
+            table.setdefault(s, {})[(a, b)] = val
     return table
 
 
@@ -192,9 +173,6 @@ class _Structure:
             slot[inner] = value
         return type(self)(*args)
 
-    def _twist_apply(self, vec):
-        return _apply(self._tcols, vec)
-
 
 class FiniteHomAlgebra(_Structure):
     """Hom-associative algebra on basis e_0..e_{n-1}.
@@ -221,12 +199,6 @@ class FiniteHomAlgebra(_Structure):
 
     def with_mul_entry(self, i, j, k, value):
         return self._with_entry((i, j), k, value)
-
-    def product(self, u, v):
-        """Bilinear product of sparse coordinate vectors."""
-        return _bilinear(self.mul, u, v)
-
-    twist_apply = _Structure._twist_apply
 
 
 class FiniteHomCoalgebra(_Structure):
@@ -277,12 +249,6 @@ class FiniteHomModule(_Structure):
     def with_action_entry(self, a, i, b, value):
         return self._with_entry((a, i), b, value)
 
-    def act(self, mvec, avec):
-        """Sparse bilinear action of an algebra vector on a module vector."""
-        return _bilinear(self.action, mvec, avec)
-
-    mtwist_apply = _Structure._twist_apply
-
 
 class FiniteHomComodule(_Structure):
     """Right Hom-comodule over a FiniteHomCoalgebra.
@@ -308,8 +274,6 @@ class FiniteHomComodule(_Structure):
     def with_coaction_entry(self, a, b, i, value):
         return self._with_entry(a, (b, i), value)
 
-    mtwist_apply = _Structure._twist_apply
-
 
 class LinearMapCandidate:
     """A linear map to be tested as a morphism; column i is the image of e_i."""
@@ -331,9 +295,6 @@ class LinearMapCandidate:
 
     def __repr__(self):
         return "LinearMapCandidate(%d -> %d)" % (self.source_dim, self.target_dim)
-
-    def col(self, i):
-        return self._cols[i]
 
 
 # The engine.  Each axiom is a lazy sweep yielding (basis input tuple, lhs,

@@ -6,13 +6,20 @@ the dual of the multiplication table gives the comultiplication on
 functionals, the transpose of the twist gives the dual twist, and
 functionals pull back along quotient-level morphisms by the transpose.
 
-Each quotient computes the powers of its q and k once, on first use: its
-builder and its ambient product (swept by verify_quotient) read them from
-tables the quotient owns, and a tensor quotient multiplies letter twists
-once per word.
+Every shipped family is the Yau twist of a unital monomial algebra, so one
+MonomialFamily record in FAMILIES describes it: its document fields, its
+monomials within given bounds and their twisted product.  One builder,
+merge, ambient sweep and document loader serve every record.  The twist is
+diagonal, read off as x . 1 = alpha(x): the dual twist scales entrywise,
+and pullbacks read the morphism's sparse columns through their transpose.
+Each quotient computes the powers of its parameters once, on first use, in
+tables it owns.
 """
 
+import operator
+from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InputError, MorphismError
 from .exact_math import Matrix, _Memo, rat, rat_str
@@ -21,6 +28,8 @@ from .homalg_core import (
     FiniteHomAlgebra,
     LinearMapCandidate,
     _add_scaled,
+    _apply,
+    _transpose,
     canon,
     check_algebra_morphism,
     dualize_algebra,
@@ -31,44 +40,76 @@ from .qplane import monomial_str
 _TENSOR_LETTERS = "xyzw"
 
 
+MonomialFamily = namedtuple(
+    "MonomialFamily", "fields bounds keys label times weights build pairs", defaults=(None,)
+)
+MonomialFamily.__doc__ = """A quotient family: a unital monomial algebra, Yau-twisted by a diagonal map.
+
+    fields: the document fields as (name, kind), in the order a loader
+    checks them; kind is "int>=0", "int>=1", "rational" or "rationals".
+    bounds: the fields that bound the box of monomials; merging two
+    quotients takes their maxima, and every other field must agree.
+    keys(params): the monomials within the bounds, the unit first.
+    label(key, params): how a monomial prints.
+    times(key1, key2): the product monomial.
+    weights(params): (key1, key2) -> coefficient of the twisted product,
+    owning its power tables; asked only for products that are kept.
+    build(params): the family's public builder, validation included.
+    pairs(keys, wide): the pairs verify_quotient sweeps over the keys of the
+    widened bounds; None (the default) sweeps every pair.
+"""
+
+
 class QuotientPresentation:
     """A finite quotient G/J: ordered basis labels, twisted product table, twist.
 
-    qmul holds the image of the twisted product of basis pairs, with every
-    twist factor already absorbed into the coefficients.  Ambient monomials
-    are addressed by family-specific keys: an exponent for the one-variable
-    family, a tuple of letter indices for words, an exponent pair for the
-    plane family.  Monomials outside the retained range project to zero.
+    Built from the family's record: qmul holds the image of the twisted
+    product of basis pairs, with every twist factor already absorbed into
+    the coefficients, and twist_diagonal the twist of each basis monomial.
+    Ambient monomials are addressed by family-specific keys: an exponent for
+    the one-variable family, a tuple of letter indices for words, an
+    exponent pair for the plane family.  Monomials outside the retained
+    range project to zero.  The params are taken as given; the make_*
+    builders validate them.
     """
 
-    def __init__(self, family, params, labels, keys, qmul, qtwist, ambient_product):
+    def __init__(self, family, params):
+        rules = FAMILIES[family]
         self.family = family
         self.params = dict(params)
-        self.labels = list(labels)
-        self.keys = [self._canon_key(key) for key in keys]
-        self.key_index = {key: i for i, key in enumerate(self.keys)}
+        self.keys = rules.keys(self.params)
+        self.labels = [rules.label(key, self.params) for key in self.keys]
+        self.key_index = index = {key: i for i, key in enumerate(self.keys)}
+        times, weight = rules.times, rules.weights(self.params)
+        self._times, self._weight = times, weight
         self.qmul = {}
-        for (i, j), vec in qmul.items():
-            clean = {k: rat(v) for k, v in vec.items() if rat(v) != 0}
-            if clean:
-                self.qmul[(i, j)] = clean
-        self.qtwist = qtwist if isinstance(qtwist, Matrix) else Matrix(qtwist)
-        if self.qtwist.rows != self.dim or self.qtwist.cols != self.dim:
-            raise InputError("qtwist shape does not match the label count")
-        self._ambient_product = ambient_product
+        for i, u in enumerate(self.keys):
+            for j, v in enumerate(self.keys):
+                k = index.get(times(u, v))
+                if k is not None:
+                    self.qmul[(i, j)] = {k: weight(u, v)}
+        unit = self.keys[0]
+        self.twist_diagonal = [weight(key, unit) for key in self.keys]
 
     @property
     def dim(self):
         return len(self.labels)
+
+    @cached_property
+    def qtwist(self):
+        """The twist as a dense diagonal Matrix, built on first use."""
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for a, v in enumerate(self.twist_diagonal):
+            rows[a][a] = v
+        return Matrix(rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, QuotientPresentation)
             and self.family == other.family
             and self.params == other.params
-            and self.labels == other.labels
             and self.qmul == other.qmul
-            and self.qtwist == other.qtwist
+            and self.twist_diagonal == other.twist_diagonal
         )
 
     def __repr__(self):
@@ -86,17 +127,11 @@ class QuotientPresentation:
 
     def ambient_product(self, key1, key2):
         """Twisted product of two ambient monomials: (coefficient, monomial key)."""
-        return self._ambient_product(self._canon_key(key1), self._canon_key(key2))
+        key1, key2 = self._canon_key(key1), self._canon_key(key2)
+        return self._weight(key1, key2), self._times(key1, key2)
 
     def as_hom_algebra(self):
         return FiniteHomAlgebra(self.dim, self.qmul, self.qtwist)
-
-
-def _diagonal(values):
-    """The twist of a monomial family: a dense diagonal Matrix."""
-    return Matrix(
-        [[v if a == b else Fraction(0) for b in range(len(values))] for a, v in enumerate(values)]
-    )
 
 
 def make_poly_quotient(N, k):
@@ -110,22 +145,12 @@ def make_poly_quotient(N, k):
         raise InputError("k must be nonzero")
     if N < 0:
         raise InputError("N must be nonnegative")
-    kpow = _Memo(lambda d: k ** d)
-    keys = list(range(N + 1))
-    labels = [monomial_str(a, 0) for a in keys]
-    qmul = {}
-    for a in keys:
-        for b in keys:
-            if a + b <= N:
-                qmul[(a, b)] = {a + b: kpow[a + b]}
-    qtwist = _diagonal([kpow[a] for a in keys])
+    return QuotientPresentation("poly", {"N": N, "k": k})
 
-    def ambient(a, b):
-        return (kpow[a + b], a + b)
 
-    return QuotientPresentation(
-        "poly", {"N": N, "k": k}, labels, keys, qmul, qtwist, ambient
-    )
+def _poly_weights(params):
+    kpow = _Memo(lambda d: params["k"] ** d)
+    return lambda a, b: kpow[a + b]
 
 
 def _words(alphabet_size, n):
@@ -137,10 +162,10 @@ def _words(alphabet_size, n):
     return words
 
 
-def _word_label(word, alphabet_size):
+def _word_label(word, params):
     if not word:
         return "1"
-    if alphabet_size <= len(_TENSOR_LETTERS):
+    if params["alphabet"] <= len(_TENSOR_LETTERS):
         return "".join(_TENSOR_LETTERS[c] for c in word)
     return "*".join("g%d" % (c + 1) for c in word)
 
@@ -161,31 +186,16 @@ def make_tensor_quotient(alphabet_size, n, letter_twists):
         raise InputError("need one twist per letter")
     if any(t == 0 for t in twists):
         raise InputError("letter twists must be nonzero")
-    keys = _words(alphabet_size, n)
+    return QuotientPresentation(
+        "tensor", {"alphabet": alphabet_size, "n": n, "twists": tuple(twists)}
+    )
 
+
+def _tensor_weights(params):
+    twists = params["twists"]
     # the twist of a word: one multiplication per word, on first use
     word_twist = _Memo(lambda w: word_twist[w[:-1]] * twists[w[-1]] if w else Fraction(1))
-    labels = [_word_label(w, alphabet_size) for w in keys]
-    index = {w: i for i, w in enumerate(keys)}
-    qmul = {}
-    for i, u in enumerate(keys):
-        for j, v in enumerate(keys):
-            if len(u) + len(v) <= n:
-                qmul[(i, j)] = {index[u + v]: word_twist[u] * word_twist[v]}
-    qtwist = _diagonal([word_twist[w] for w in keys])
-
-    def ambient(u, v):
-        return (word_twist[u] * word_twist[v], u + v)
-
-    return QuotientPresentation(
-        "tensor",
-        {"alphabet": alphabet_size, "n": n, "twists": tuple(twists)},
-        labels,
-        keys,
-        qmul,
-        qtwist,
-        ambient,
-    )
+    return lambda u, v: word_twist[u] * word_twist[v]
 
 
 def make_qplane_quotient(R, S, q, k):
@@ -203,26 +213,48 @@ def make_qplane_quotient(R, S, q, k):
         raise InputError("k must be nonzero")
     if R < 0 or S < 0:
         raise InputError("R and S must be nonnegative")
-    kpow = _Memo(lambda d: k ** d)
-    qpow = _Memo(lambda e: q ** e)
+    return QuotientPresentation("qplane", {"R": R, "S": S, "q": q, "k": k})
+
+
+def _qplane_weights(params):
+    kpow = _Memo(lambda d: params["k"] ** d)
+    qpow = _Memo(lambda e: params["q"] ** e)
     weight = _Memo(lambda de: kpow[de[0]] * qpow[de[1]])  # k^d q^e
-    keys = [(a, b) for a in range(R + 1) for b in range(S + 1)]
-    labels = [monomial_str(a, b) for a, b in keys]
-    index = {key: i for i, key in enumerate(keys)}
-    qmul = {}
-    for i, (a, b) in enumerate(keys):
-        for j, (c, d) in enumerate(keys):
-            if a + c <= R and b + d <= S:
-                qmul[(i, j)] = {index[(a + c, b + d)]: weight[a + b + c + d, b * c]}
-    qtwist = _diagonal([weight[a + b, 0] for a, b in keys])
+    return lambda m1, m2: weight[m1[0] + m1[1] + m2[0] + m2[1], m1[1] * m2[0]]
 
-    def ambient(key1, key2):
-        (a, b), (c, d) = key1, key2
-        return (weight[a + b + c + d, b * c], (a + c, b + d))
 
-    return QuotientPresentation(
-        "qplane", {"R": R, "S": S, "q": q, "k": k}, labels, keys, qmul, qtwist, ambient
-    )
+FAMILIES = {
+    "poly": MonomialFamily(
+        fields=(("N", "int>=0"), ("k", "rational")),
+        bounds=("N",),
+        keys=lambda p: list(range(p["N"] + 1)),
+        label=lambda a, p: monomial_str(a, 0),
+        times=operator.add,
+        weights=_poly_weights,
+        build=lambda p: make_poly_quotient(p["N"], p["k"]),
+    ),
+    "tensor": MonomialFamily(
+        fields=(("twists", "rationals"), ("alphabet", "int>=1"), ("n", "int>=0")),
+        bounds=("n",),
+        keys=lambda p: _words(p["alphabet"], p["n"]),
+        label=_word_label,
+        times=operator.add,
+        weights=_tensor_weights,
+        build=lambda p: make_tensor_quotient(p["alphabet"], p["n"], p["twists"]),
+        pairs=lambda words, p: (
+            (u, v) for u in words for v in words if len(u) + len(v) <= p["n"]
+        ),
+    ),
+    "qplane": MonomialFamily(
+        fields=(("R", "int>=0"), ("S", "int>=0"), ("q", "rational"), ("k", "rational")),
+        bounds=("R", "S"),
+        keys=lambda p: [(a, b) for a in range(p["R"] + 1) for b in range(p["S"] + 1)],
+        label=lambda key, p: monomial_str(*key),
+        times=lambda m1, m2: (m1[0] + m2[0], m1[1] + m2[1]),
+        weights=_qplane_weights,
+        build=lambda p: make_qplane_quotient(p["R"], p["S"], p["q"], p["k"]),
+    ),
+}
 
 
 class SweedlerFunctional:
@@ -308,7 +340,7 @@ class TensorFunctional:
 
 
 def _require_same_quotient(quotient, functional):
-    if functional.quotient != quotient:
+    if functional.quotient is not quotient and functional.quotient != quotient:
         raise InputError("functional belongs to a different quotient")
 
 
@@ -330,9 +362,9 @@ def sweedler_delta(quotient, functional):
 
 
 def sweedler_twist(quotient, functional):
-    """Dual twist: precompose the functional with the quotient twist."""
+    """Dual twist: precompose the functional with the quotient twist, a diagonal."""
     _require_same_quotient(quotient, functional)
-    coeffs = quotient.qtwist.transpose().apply(functional.coeffs)
+    coeffs = [c * t for c, t in zip(functional.coeffs, quotient.twist_diagonal)]
     return SweedlerFunctional(quotient, coeffs)
 
 
@@ -346,15 +378,27 @@ def quotient_dual_coalgebra(quotient):
     return dualize_algebra(quotient.as_hom_algebra())
 
 
-def _checked_morphism(source, target, induced):
-    """The induced matrix as a map of quotient algebras; MorphismError if it is not one."""
-    candidate = LinearMapCandidate(
-        source.dim, target.dim, induced if isinstance(induced, Matrix) else Matrix(induced)
-    )
+def _pullbacks(source, target, induced):
+    """The pullback of every dual basis functional of the target, sparse over the source.
+
+    induced is checked with the algebra-morphism verifier first
+    (MorphismError if it fails).  Entry t is row t of the matrix: the
+    candidate's sparse columns read through the transpose, i.e. the adjoint
+    map that dualize_algebra_morphism describes.
+    """
+    candidate = LinearMapCandidate(source.dim, target.dim, induced)
     report = check_algebra_morphism(source.as_hom_algebra(), target.as_hom_algebra(), candidate)
     if not report.passed:
         raise MorphismError("induced map is not a morphism of the quotient algebras", report)
-    return candidate
+    return _transpose(candidate._cols, target.dim)
+
+
+def _dense(vec, dim):
+    return [vec.get(i, Fraction(0)) for i in range(dim)]
+
+
+def _sparse(coeffs):
+    return {i: c for i, c in enumerate(coeffs) if c != 0}
 
 
 def pullback_functional(source, target, induced, functional):
@@ -366,8 +410,8 @@ def pullback_functional(source, target, induced, functional):
     f after the morphism, i.e. the transpose applied to the coefficients.
     """
     _require_same_quotient(target, functional)
-    candidate = _checked_morphism(source, target, induced)
-    return SweedlerFunctional(source, candidate.matrix.transpose().apply(functional.coeffs))
+    pulled = _apply(_pullbacks(source, target, induced), _sparse(functional.coeffs))
+    return SweedlerFunctional(source, _dense(pulled, source.dim))
 
 
 def check_pullback_naturality(source, target, induced):
@@ -378,53 +422,38 @@ def check_pullback_naturality(source, target, induced):
     and the dual twist of the pullback equals the pullback of the dual
     twist.  Violations are reported in canonical sparse form.
     """
-    tmat = _checked_morphism(source, target, induced).matrix.transpose()
-    pulls = [SweedlerFunctional(source, tmat.col(t)) for t in range(target.dim)]
-    sparse = [{a: c for a, c in enumerate(pull.coeffs) if c != 0} for pull in pulls]
+    pulls = _pullbacks(source, target, induced)
     violations = []
-    for t in range(target.dim):
+    for t, pull in enumerate(pulls):
         f = dual_basis_functional(target, t)
-        lhs = sweedler_delta(source, pulls[t]).terms
+        pulled = SweedlerFunctional(source, _dense(pull, source.dim))
+        lhs = sweedler_delta(source, pulled).terms
         rhs = {}
         for (i, j), coeff in sweedler_delta(target, f).terms.items():
-            for a, la in sparse[i].items():
-                _add_scaled(rhs, coeff * la, {(a, b): rb for b, rb in sparse[j].items()})
+            for a, la in pulls[i].items():
+                _add_scaled(rhs, coeff * la, {(a, b): rb for b, rb in pulls[j].items()})
         if lhs != rhs:
             violations.append(("delta-naturality", (t,), canon(lhs), canon(rhs)))
-        lhs_tw = sweedler_twist(source, pulls[t]).coeffs
-        rhs_tw = tmat.apply(sweedler_twist(target, f).coeffs)
+        lhs_tw = _sparse(sweedler_twist(source, pulled).coeffs)
+        rhs_tw = _apply(pulls, _sparse(sweedler_twist(target, f).coeffs))
         if lhs_tw != rhs_tw:
-            violations.append(
-                (
-                    "twist-naturality",
-                    (t,),
-                    canon({(a,): v for a, v in enumerate(lhs_tw)}),
-                    canon({(a,): v for a, v in enumerate(rhs_tw)}),
-                )
-            )
+            violations.append(("twist-naturality", (t,), canon(lhs_tw), canon(rhs_tw)))
     return AxiomReport(tuple(violations))
 
 
 def _merged_quotient(qa, qb):
-    """Smallest shipped quotient refining both arguments (componentwise max bounds)."""
+    """Smallest quotient of the family refining both arguments (componentwise max bounds)."""
     if qa.family != qb.family:
         raise InputError("cannot merge quotients of different families")
+    bounds = FAMILIES[qa.family].bounds
     pa, pb = qa.params, qb.params
-    if qa.family == "poly":
-        if pa["k"] != pb["k"]:
-            raise InputError("cannot merge quotients with different twists")
-        return make_poly_quotient(max(pa["N"], pb["N"]), pa["k"])
-    if qa.family == "tensor":
-        if pa["alphabet"] != pb["alphabet"] or pa["twists"] != pb["twists"]:
-            raise InputError("cannot merge quotients with different letter twists")
-        return make_tensor_quotient(pa["alphabet"], max(pa["n"], pb["n"]), pa["twists"])
-    if qa.family == "qplane":
-        if pa["q"] != pb["q"] or pa["k"] != pb["k"]:
-            raise InputError("cannot merge quotients with different parameters")
-        return make_qplane_quotient(
-            max(pa["R"], pb["R"]), max(pa["S"], pb["S"]), pa["q"], pa["k"]
+    differ = [name for name in pa if name not in bounds and pa[name] != pb[name]]
+    if differ:
+        raise InputError(
+            "cannot merge %s quotients with different %s" % (qa.family, ", ".join(differ))
         )
-    raise InputError("unknown quotient family %r" % (qa.family,))
+    merged = {name: max(pa[name], pb[name]) if name in bounds else pa[name] for name in pa}
+    return FAMILIES[qa.family].build(merged)
 
 
 def _embed_coeffs(functional, big):
@@ -467,11 +496,10 @@ def verify_quotient(quotient, degree_margin=1):
     violations = list(verify_hom_algebra(quotient.as_hom_algebra()).violations)
     # the swept keys are canonical already, so they index the tables directly
     index = quotient.key_index.get
-    ambient = quotient._ambient_product
+    times, weight = quotient._times, quotient._weight
     for key1, key2 in _ambient_pairs(quotient, degree_margin):
-        coeff, key = ambient(key1, key2)
-        idx = index(key)
-        lhs = {idx: coeff} if idx is not None and coeff != 0 else {}
+        idx = index(times(key1, key2))
+        lhs = {idx: weight(key1, key2)} if idx is not None else {}
         # a pair with a key outside the basis (index None) is in no table entry
         rhs = quotient.qmul.get((index(key1), index(key2)), {})
         if lhs != rhs:
@@ -482,19 +510,12 @@ def verify_quotient(quotient, degree_margin=1):
 
 
 def _ambient_pairs(quotient, margin):
-    if quotient.family == "poly":
-        bound = 2 * quotient.params["N"] + margin
-        rng = range(bound + 1)
-        return ((a, b) for a in rng for b in rng)
-    if quotient.family == "tensor":
-        length = 2 * quotient.params["n"] + margin
-        words = _words(quotient.params["alphabet"], length)
-        return (
-            (u, v) for u in words for v in words if len(u) + len(v) <= length
-        )
-    if quotient.family == "qplane":
-        ra = 2 * quotient.params["R"] + margin
-        sb = 2 * quotient.params["S"] + margin
-        monos = [(a, b) for a in range(ra + 1) for b in range(sb + 1)]
-        return ((u, v) for u in monos for v in monos)
-    raise InputError("unknown quotient family %r" % (quotient.family,))
+    """The pairs verify_quotient sweeps: monomials within twice each bound plus margin."""
+    rules = FAMILIES[quotient.family]
+    wide = dict(quotient.params)
+    for name in rules.bounds:
+        wide[name] = 2 * wide[name] + margin
+    keys = rules.keys(wide)
+    if rules.pairs is None:
+        return ((u, v) for u in keys for v in keys)
+    return rules.pairs(keys, wide)

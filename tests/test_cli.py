@@ -120,6 +120,51 @@ def test_tensor_twists_must_be_a_list(tmp_path):
     assert "field 'twists' must be a list" in report(proc)["error"]
 
 
+# instance, path of the edited entry, its new value, the field the error must name
+STRUCTURE_FAULTS = {
+    "mul-string-index": ("dual_numbers.json", ("mul", 0, 0), "a", "field 'mul' indices"),
+    "mul-half-index": ("dual_numbers.json", ("mul", 1, 1), 0.5, "field 'mul' indices"),
+    "mul-bool-index": ("dual_numbers.json", ("mul", 2, 0), True, "field 'mul' indices"),
+    "mul-bool-coefficient": (
+        "dual_numbers.json", ("mul", 0, 2, 0), True, "field 'mul' entry (0, 0)"),
+    "twist-bool": ("dual_numbers.json", ("twist", 1, 1), True, "field 'twist'"),
+    "comul-string-index": (
+        "divided_power_coalgebra.json", ("comul", 1, 0), "a", "field 'comul' indices"),
+    "comul-half-index": (
+        "divided_power_coalgebra.json", ("comul", 2, 1, 0, 1), 0.5, "field 'comul' indices"),
+    "comul-list-index": (
+        "divided_power_coalgebra.json", ("comul", 2, 1, 0, 0), [0], "field 'comul' indices"),
+    "comul-list-source": (
+        "divided_power_coalgebra.json", ("comul", 0, 0), [0], "field 'comul' indices"),
+    "action-string-index": (
+        "regular_module_dual_numbers.json", ("action", 1, 1), "a", "field 'action' indices"),
+    "action-half-index": (
+        "regular_module_dual_numbers.json", ("action", 0, 0), 0.5, "field 'action' indices"),
+    "coaction-string-index": (
+        "comodule_dual_numbers.json", ("coaction", 1, 1, 0, 1), "a", "field 'coaction' indices"),
+    "coaction-half-index": (
+        "comodule_dual_numbers.json", ("coaction", 1, 0), 0.5, "field 'coaction' indices"),
+    "quotient-k-bool": ("poly_quotient_N3_k2.json", ("params", "k"), True, "field 'k'"),
+    "quotient-twists-bool": (
+        "tensor_quotient_a2_n2.json", ("params", "twists", 0), True, "field 'twists'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURE_FAULTS))
+def test_structure_indices_and_scalars_are_checked(tmp_path, capsys, fault):
+    name, path, value, field = STRUCTURE_FAULTS[fault]
+    doc = json.loads((INSTANCES / name).read_text())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    assert cli.dispatch(["verify", str(p)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error"
+    assert field in out["error"]
+
 # ----------------------------------------------------------------- dualize
 
 

@@ -2,17 +2,23 @@
 
 from fractions import Fraction
 
+import random
+
 import pytest
 
+from homdual import sweedler
 from homdual.errors import InputError, MorphismError
 from homdual.exact_math import Matrix
 from homdual.homalg_core import (
+    AxiomReport,
     LinearMapCandidate,
+    canon,
     check_algebra_morphism,
     dualize_algebra,
     verify_hom_coalgebra,
 )
 from homdual.sweedler import (
+    FAMILIES,
     SweedlerFunctional,
     add_functionals,
     check_pullback_naturality,
@@ -26,7 +32,7 @@ from homdual.sweedler import (
     sweedler_twist,
     verify_quotient,
 )
-from homdual.sweedler import _ambient_pairs
+from homdual.sweedler import _ambient_pairs, _merged_quotient
 
 
 def square_matrix(dim):
@@ -376,3 +382,208 @@ def test_ambient_products_match_the_family_formulas():
         for i, key in enumerate(quotient.keys):
             assert quotient.qtwist.entries[i][i] == formula(key, quotient.keys[0])[0]
     assert families == {"poly", "tensor", "qplane"}
+
+
+# ------------------------------------------------ one record per family
+
+
+SAMPLES = {
+    "poly": [{"N": 3, "k": Fraction(-1, 2)}, {"N": 0, "k": Fraction(5)}],
+    "tensor": [
+        {"alphabet": 2, "n": 2, "twists": (Fraction(2), Fraction(5, 3))},
+        {"alphabet": 5, "n": 1, "twists": tuple(Fraction(t) for t in (1, -1, 2, 3, 4))},
+    ],
+    "qplane": [{"R": 2, "S": 1, "q": Fraction(-1), "k": Fraction(5, 3)}],
+}
+
+
+def test_twist_diagonal_is_the_product_with_the_unit():
+    assert set(SAMPLES) == set(FAMILIES)
+    for name, rules in FAMILIES.items():
+        for params in SAMPLES[name]:
+            q = rules.build(params)
+            assert (q.family, q.params) == (name, params)
+            unit = q.keys[0]
+            assert q.labels[0] == "1"
+            for i, key in enumerate(q.keys):
+                assert q.ambient_product(key, unit) == (q.twist_diagonal[i], key)
+                assert q.ambient_product(unit, key) == (q.twist_diagonal[i], key)
+                assert q.qmul[(i, 0)] == q.qmul[(0, i)] == {i: q.twist_diagonal[i]}
+                assert q.qtwist.entries[i] == tuple(
+                    q.twist_diagonal[i] if j == i else 0 for j in range(q.dim)
+                )
+            assert list(q.qmul) == sorted(q.qmul)  # row by row, as the dual reads it
+
+
+def test_merged_quotient_is_the_box_of_the_larger_bounds():
+    k, q = Fraction(-1, 2), Fraction(5, 3)
+    twists = (Fraction(2), Fraction(-1, 2))
+    cases = [
+        (make_poly_quotient(2, k), make_poly_quotient(5, k), make_poly_quotient(5, k)),
+        (make_poly_quotient(4, k), make_poly_quotient(4, k), make_poly_quotient(4, k)),
+        (
+            make_tensor_quotient(2, 1, twists),
+            make_tensor_quotient(2, 3, twists),
+            make_tensor_quotient(2, 3, twists),
+        ),
+        (
+            make_qplane_quotient(3, 1, q, k),
+            make_qplane_quotient(1, 2, q, k),
+            make_qplane_quotient(3, 2, q, k),
+        ),
+    ]
+    for qa, qb, want in cases:
+        for merged in (_merged_quotient(qa, qb), _merged_quotient(qb, qa)):
+            assert merged == want
+            assert merged.params == want.params
+            assert merged.keys == want.keys and merged.labels == want.labels
+            assert list(merged.qmul.items()) == list(want.qmul.items())
+
+
+@pytest.mark.parametrize(
+    "qa, qb",
+    [
+        (make_poly_quotient(3, 2), make_poly_quotient(5, 3)),
+        (make_tensor_quotient(2, 2, (2, 3)), make_tensor_quotient(2, 1, (2, 5))),
+        (make_tensor_quotient(1, 2, (2,)), make_tensor_quotient(2, 2, (2, 3))),
+        (make_qplane_quotient(2, 2, 2, 3), make_qplane_quotient(1, 2, 3, 3)),
+        (make_qplane_quotient(2, 2, 2, 3), make_qplane_quotient(2, 1, 2, 5)),
+        (make_poly_quotient(1, 1), make_qplane_quotient(1, 0, 1, 1)),
+    ],
+)
+def test_merge_refuses_different_fixed_fields(qa, qb):
+    for first, second in ((qa, qb), (qb, qa)):
+        with pytest.raises(InputError, match="cannot merge"):
+            _merged_quotient(first, second)
+        with pytest.raises(InputError, match="cannot merge"):
+            add_functionals(dual_basis_functional(first, 0), dual_basis_functional(second, 0))
+
+
+# ------------------------------- the sparse dual side against dense formulas
+
+
+def dense_apply(rows, vec):
+    return [sum((r * v for r, v in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+def dense_naturality(source, target, induced):
+    """Both naturality squares with dense matrices; the morphism check is left out."""
+    tmat = induced.transpose().entries
+    source_twist_t = source.qtwist.transpose().entries
+    target_twist_t = target.qtwist.transpose().entries
+    pulls = [SweedlerFunctional(source, [row[t] for row in tmat]) for t in range(target.dim)]
+    sparse = [{a: c for a, c in enumerate(pull.coeffs) if c != 0} for pull in pulls]
+    violations = []
+    for t in range(target.dim):
+        f = dual_basis_functional(target, t)
+        lhs = sweedler_delta(source, pulls[t]).terms
+        rhs = {}
+        for (i, j), coeff in sweedler_delta(target, f).terms.items():
+            for a, la in sparse[i].items():
+                for b, rb in sparse[j].items():
+                    rhs[(a, b)] = rhs.get((a, b), 0) + coeff * la * rb
+        rhs = {key: v for key, v in rhs.items() if v != 0}
+        if lhs != rhs:
+            violations.append(("delta-naturality", (t,), canon(lhs), canon(rhs)))
+        lhs_tw = dense_apply(source_twist_t, pulls[t].coeffs)
+        rhs_tw = dense_apply(tmat, dense_apply(target_twist_t, f.coeffs))
+        if lhs_tw != rhs_tw:
+            violations.append(
+                (
+                    "twist-naturality",
+                    (t,),
+                    canon({(a,): v for a, v in enumerate(lhs_tw)}),
+                    canon({(a,): v for a, v in enumerate(rhs_tw)}),
+                )
+            )
+    return AxiomReport(tuple(violations))
+
+
+def rescaling(big, small, scale):
+    index = {key: i for i, key in enumerate(small.keys)}
+    rows = [[Fraction(0)] * big.dim for _ in range(small.dim)]
+    for col, key in enumerate(big.keys):
+        if key in index:
+            rows[index[key]][col] = scale(key)
+    return Matrix(rows, cols=big.dim)
+
+
+def bumped(matrix, rng):
+    rows = [list(row) for row in matrix.entries]
+    rows[rng.randrange(matrix.rows)][rng.randrange(matrix.cols)] += rng.choice((1, -1, 2))
+    return Matrix(rows, cols=matrix.cols)
+
+
+def dual_side_cases():
+    """(source, target, induced): quotient morphisms, bumped twists and non-morphisms."""
+    rng = random.Random(20261018)
+    scales = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2), Fraction(5, 3))
+    for _ in range(4):
+        k, q = rng.choice(scales), rng.choice(scales)
+        twists = (rng.choice(scales), rng.choice(scales))
+        s1, s2 = rng.choice(scales), rng.choice(scales)
+        pairs = [
+            (make_poly_quotient(4, k), make_poly_quotient(2, k), lambda a: s1 ** a),
+            (
+                make_tensor_quotient(2, 2, twists),
+                make_tensor_quotient(2, 1, twists),
+                lambda w: s1 ** w.count(0) * s2 ** w.count(1),
+            ),
+            (
+                make_qplane_quotient(2, 2, q, k),
+                make_qplane_quotient(1, 2, q, k),
+                lambda m: s1 ** m[0] * s2 ** m[1],
+            ),
+        ]
+        for big, small, scale in pairs:
+            good = rescaling(big, small, scale)
+            yield big, small, good
+            yield big, small, bumped(good, rng)
+            yield big, big, big.qtwist
+            yield big, big, bumped(big.qtwist, rng)
+            # a bumped twist: the identity from the bumped quotient to the true one
+            twisted = sweedler.FAMILIES[big.family].build(big.params)
+            twisted.twist_diagonal[rng.randrange(big.dim)] += rng.choice((1, -1))
+            yield twisted, big, Matrix.identity(big.dim)
+    square = Matrix([[1 if t == 2 * s else 0 for s in range(4)] for t in range(7)])
+    yield make_poly_quotient(3, 4), make_poly_quotient(6, 2), square
+    yield make_poly_quotient(3, 3), make_poly_quotient(6, 2), square
+
+
+def test_sparse_pullbacks_match_the_dense_formulas(monkeypatch):
+    morphisms = non_morphisms = 0
+    cases = list(dual_side_cases())
+    for source, target, induced in cases:
+        f = SweedlerFunctional(target, [Fraction(t + 1, 2) - 1 for t in range(target.dim)])
+        want = dense_apply(induced.transpose().entries, f.coeffs)
+        report = check_algebra_morphism(
+            source.as_hom_algebra(), target.as_hom_algebra(),
+            LinearMapCandidate(source.dim, target.dim, induced),
+        )
+        if report.passed:
+            morphisms += 1
+            assert pullback_functional(source, target, induced, f).coeffs == want
+            assert check_pullback_naturality(source, target, induced) == dense_naturality(
+                source, target, induced
+            )
+        else:
+            non_morphisms += 1
+            for check in (
+                lambda: pullback_functional(source, target, induced, f),
+                lambda: check_pullback_naturality(source, target, induced),
+            ):
+                with pytest.raises(MorphismError) as err:
+                    check()
+                assert err.value.report == report
+    assert morphisms >= 20 and non_morphisms >= 20
+    # past the morphism check, the violation lists themselves agree
+    monkeypatch.setattr(sweedler, "check_algebra_morphism", lambda *args: AxiomReport(()))
+    violated = 0
+    for source, target, induced in cases:
+        f = SweedlerFunctional(target, [Fraction(t + 1, 2) - 1 for t in range(target.dim)])
+        want = dense_apply(induced.transpose().entries, f.coeffs)
+        assert pullback_functional(source, target, induced, f).coeffs == want
+        report = check_pullback_naturality(source, target, induced)
+        assert report == dense_naturality(source, target, induced)
+        violated += not report.passed
+    assert violated >= 20
