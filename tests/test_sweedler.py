@@ -542,7 +542,7 @@ def dual_side_cases():
             yield big, big, big.qtwist
             yield big, big, bumped(big.qtwist, rng)
             # a bumped twist: the identity from the bumped quotient to the true one
-            twisted = sweedler.FAMILIES[big.family].build(big.params)
+            twisted = FAMILIES[big.family].build(big.params)
             twisted.twist_diagonal[rng.randrange(big.dim)] += rng.choice((1, -1))
             yield twisted, big, Matrix.identity(big.dim)
     square = Matrix([[1 if t == 2 * s else 0 for s in range(4)] for t in range(7)])
