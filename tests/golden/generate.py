@@ -52,7 +52,10 @@ from homdual.qplane import qbinom
 from homdual.recseq import (
     BiPoly,
     BiSequence,
+    annihilation_residual,
+    derive_recursion,
     generate_sequence,
+    generate_sequence_derived,
     minimal_bipoly,
     quantum_convolution,
     row_minimal_polys,
@@ -689,6 +692,131 @@ def _row_minimal_cases(cases):
         )
 
 
+ORACLE_QK = (("1", "1"), ("-1", "1"), ("5/3", "1"), ("2", "3/2"), ("-1/2", "-2/3"))
+ORACLE_H = BiPoly(2, 1, {(1, 0): 1, (0, 1): Fraction(-1, 2), (1, 1): 2, (2, 1): Fraction(1, 3)})
+ORACLE_M, ORACLE_N = 5, 4
+ORACLE_BUMP = (3, 2)  # an interior cell of the perturbed fills
+
+
+def _guarded_value(thunk):
+    """Like _guarded, and a bad case number (a plain ValueError) renders too."""
+    try:
+        return thunk()
+    except ValueError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def _oracle_tables(case, q, k):
+    """{label: table}: a certified fill, its perturbed copy, rationals, no interior."""
+    rng = random.Random("seq-oracle/%d/%s/%s" % (case, q, k))
+    h, M, N = ORACLE_H, ORACLE_M, ORACLE_N
+    boundary = {
+        (m, n): rng.randint(-3, 3)
+        for m in range(M + 1)
+        for n in range(N + 1)
+        if m < h.r or n < h.s
+    }
+    fill = generate_sequence_derived(h, case, q, k, boundary, M, N)
+    grid = [list(row) for row in fill.grid]
+    grid[ORACLE_BUMP[0]][ORACLE_BUMP[1]] += 1
+    rational = BiSequence.from_function(
+        lambda m, n: Fraction(rng.randint(-9, 9), rng.randint(1, 6)), M, N
+    )
+    flat = BiSequence.from_function(lambda m, n: rng.randint(-5, 5), h.r - 1, N)
+    return {
+        "fill": fill,
+        "perturbed": BiSequence(M, N, grid),
+        "rational": rational,
+        "no-interior": flat,
+    }
+
+
+def _cli_oracle(table, h, *argv):
+    """seq-oracle on t.json and h.json written to a scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "t.json").write_text(json.dumps(documents.bisequence_doc(table)))
+        Path(tmp, "h.json").write_text(json.dumps(documents.bipoly_doc(h)))
+        return _cli("seq-oracle", "--table", "t.json", "--h", "h.json", *argv, cwd=tmp)
+
+
+def _oracle_window(table, h, case, q, k):
+    """Residuals from one cell below (r, s) to one cell past the table, or their errors."""
+    return [
+        [m, n, _guarded_value(lambda m=m, n=n: rat_str(
+            annihilation_residual(table, h, case, m, n, q, k)
+        ))]
+        for m in range(h.r - 1, table.M + 2)
+        for n in range(h.s - 1, table.N + 2)
+    ]
+
+
+def _stencil_json(stencil):
+    return [stencil.m, stencil.n, [[i, j, rat_str(v)] for (i, j), v in stencil.coeffs]]
+
+
+def _seq_oracle_cases(cases):
+    h, M, N = ORACLE_H, ORACLE_M, ORACLE_N
+    for case in (1, 2, 3):
+        for q, k in ORACLE_QK:
+            prefix = "seq-oracle/case=%d/q=%s/k=%s" % (case, q, k)
+            flags = ("--case", str(case), "--q=" + q, "--k=" + k)
+            tables = _oracle_tables(case, q, k)
+            sites = {
+                "fill": (M, N),
+                "perturbed": ORACLE_BUMP,
+                "rational": (h.r, h.s),
+                "past-m": (M + 1, N),
+                "past-n": (M, N + 1),
+                "below-r": (h.r - 1, N),
+                "below-s": (M, h.s - 1),
+            }
+            for label, table in tables.items():
+                cases["cli/%s/all/%s" % (prefix, label)] = (
+                    lambda table=table, flags=flags: _cli_oracle(table, h, *flags, "--all")
+                )
+                cases["%s/residuals/%s" % (prefix, label)] = (
+                    lambda table=table, case=case, q=q, k=k: _oracle_window(table, h, case, q, k)
+                )
+            for label, (m, n) in sites.items():
+                table = tables.get(label, tables["fill"])
+                cases["cli/%s/at/%s" % (prefix, label)] = (
+                    lambda table=table, flags=flags, m=m, n=n: _cli_oracle(
+                        table, h, *flags, "--at", "%d,%d" % (m, n)
+                    )
+                )
+            cases["%s/fill" % prefix] = (
+                lambda table=tables["fill"]: documents.bisequence_doc(table)
+            )
+            cases["%s/derive" % prefix] = lambda case=case, q=q, k=k: [
+                _guarded_value(lambda m=m, n=n: _stencil_json(
+                    derive_recursion(h, case, m, n, q, k)
+                ))
+                for m, n in ((h.r, h.s), (3, 4), (M, N), (M + 3, N + 2), (h.r - 1, N))
+            ]
+    # the error order: parameters, then case, then (r, s), then table bounds
+    table = _oracle_tables(1, "1", "1")["fill"]
+    for q, k, case, m, n in (
+        ("0", "1", 9, 0, 0), ("1", "0", 9, 0, 0), ("0", "0", 1, 9, 9),
+        ("1", "1", 9, 0, 0), ("1", "1", 1, 0, 9), ("1", "1", 2, 9, 0),
+        ("1", "1", 3, M + 1, 0), ("1", "1", 3, M + 1, N + 1), ("x", "1", 1, 2, 1),
+        ("1", "1/0", 1, 2, 1),
+    ):
+        cases["seq-oracle/error/q=%s/k=%s/case=%d/%d-%d" % (q, k, case, m, n)] = (
+            lambda q=q, k=k, case=case, m=m, n=n: [
+                _guarded_value(lambda: rat_str(annihilation_residual(table, h, case, m, n, q, k))),
+                _guarded_value(lambda: _stencil_json(derive_recursion(h, case, m, n, q, k))),
+            ]
+        )
+    for case in (1, 2, 3):
+        for q in ("1", "-1", "5/3"):
+            cases["cli/seq-gen/case=%d/q=%s/ones" % (case, q)] = (
+                lambda case=case, q=q: _cli(
+                    "seq-gen", "--h", "instances/delannoy.json", "--case", str(case),
+                    "--q=" + q, "--boundary", "ones", "--M", "4", "--N", "5",
+                )
+            )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -702,6 +830,7 @@ def cases():
     _convolve_cases(out)
     _qbinom_cases(out)
     _row_minimal_cases(out)
+    _seq_oracle_cases(out)
     return out
 
 
