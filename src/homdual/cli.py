@@ -37,7 +37,7 @@ from .qplane import (
     normal_order,
     quantum_binomial_expand,
 )
-from .recseq import annihilation_residual, generate_sequence, minimal_bipoly, quantum_convolution
+from .recseq import _residuals, generate_sequence, minimal_bipoly, quantum_convolution
 from .sweedler import (
     SweedlerFunctional,
     quotient_dual_coalgebra,
@@ -265,8 +265,9 @@ def cmd_seq_oracle(args, argv):
             raise InputError("field 'at' must be 'm,n' with integers")
     residuals = []
     failures = []
-    for m, n in cells:
-        value = annihilation_residual(table, h, args.case, m, n, args.q, args.k)
+    # q and k are checked before any cell, so a table without interior cells is no pass for q = 0
+    values = _residuals(table, h, args.case, cells, args.q, args.k)
+    for (m, n), value in zip(cells, values):
         residuals.append([m, n, rat_str(value)])
         if value != 0:
             failures.append({"at": [m, n], "residual": rat_str(value)})

@@ -6,10 +6,14 @@ yields a recursion stencil.  The recursions here come in two flavors: the
 plain displays (generate_sequence, weights in q only) and the fully twisted
 path (derive_recursion / generate_sequence_derived) obtained by expanding
 the defining annihilation condition with the twisted product itself.
-annihilation_residual is the independent oracle shared by both.  The exact
-searches cost O(len^2) per row (Berlekamp-Massey), one kernel of a
-cols+1-row prefix plus O(rows*cols) substitution per bidegree, and one
-O(N^2) q-Pascal triangle per convolution.
+annihilation_residual is the oracle for both, and independent of the
+stencils: it applies the twisted product to bracketed monomials, one
+monomial of h at a time, so a residual is one fraction-free integer sum over
+the |h|+1 entries it reads, with powers of q and k from tables shared by all
+cells of a batch.  The exact searches cost O(len^2) per row
+(Berlekamp-Massey), one kernel of a cols+1-row prefix taken along
+antidiagonals plus O(rows*cols) substitution per bidegree, and one O(N^2)
+q-Pascal triangle per convolution.
 """
 
 import math
@@ -18,8 +22,8 @@ from enum import IntEnum
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_math import Matrix, mat_kernel, rat, rat_str
-from .qplane import QParams, QPoly, _qpascal, eval_functional, hom_product
+from .exact_math import Matrix, _Memo, mat_kernel, rat, rat_str
+from .qplane import QParams, QPoly, _qpascal, hom_product
 
 
 class CaseId(IntEnum):
@@ -214,15 +218,79 @@ def _case_expression(h, case, m, n, params):
     return hom_product(hom_product(hp, xm), yn)
 
 
+def _hom_monomial(u, v):
+    """Twisted product of monomials k^e q^g x^a y^b, as exponent tuples (e, g, a, b).
+
+    The twist scales each factor by k to its degree, and the classical
+    product (x^a y^b)(x^c y^d) = q^(bc) x^(a+c) y^(b+d).
+    """
+    e1, g1, a, b = u
+    e2, g2, c, d = v
+    return (e1 + e2 + a + b + c + d, g1 + g2 + b * c, a + c, b + d)
+
+
+def _bracketed(case, xm, yn, u):
+    """The case's bracketed product of x^(m-r), y^(n-s) and a monomial u of h."""
+    if case is CaseId.MIDDLE:
+        return _hom_monomial(_hom_monomial(xm, u), yn)
+    if case is CaseId.RIGHT:
+        return _hom_monomial(_hom_monomial(xm, yn), u)
+    return _hom_monomial(_hom_monomial(u, xm), yn)
+
+
+def _residuals(f, h, case, cells, q, k):
+    """annihilation_residual at every cell, in order; the first bad cell raises.
+
+    Each bracketed product of monomials is one monomial k^e q^g x^a y^b, so
+    a residual is sum_t c_t k^(e_t) q^(g_t) f(a_t, b_t) over the |h|+1 terms
+    c_t x^i y^j of h.  Over the common denominator of the weights, of h and
+    of the |h|+1 entries read, that is one integer sum and one Fraction per
+    cell; powers of the numerators and denominators of q and k come from
+    tables shared by all cells.
+    """
+    params = QParams(q, k)
+    case = CaseId(case)
+    hscale = math.lcm(*(v.denominator for v in h.coeffs.values()))
+    terms = [((0, 0), hscale)] + [
+        ((i, j), -v.numerator * (hscale // v.denominator)) for (i, j), v in h.coeffs.items()
+    ]
+    qn, qd, kn, kd = (
+        _Memo(lambda e, base=base: base ** e)
+        for base in (params.q.numerator, params.q.denominator,
+                     params.k.numerator, params.k.denominator)
+    )
+    grid, r, s = f.grid, h.r, h.s
+    out = []
+    for m, n in cells:
+        if m < r or n < s:
+            raise InputError("need m >= r and n >= s, got (%d, %d)" % (m, n))
+        if m > f.M or n > f.N:
+            raise InputError(
+                "exponent (%d, %d) outside table bounds (%d, %d)" % (m, n, f.M, f.N)
+            )
+        xm, yn = (0, 0, m - r, 0), (0, 0, 0, n - s)
+        # e and g grow with the exponents of u: the leading x^r y^s has the largest
+        top_e, top_g, _, _ = _bracketed(case, xm, yn, (0, 0, r, s))
+        entries = [grid[m - i][n - j] for (i, j), _ in terms]
+        scale = math.lcm(*(v.denominator for v in entries))
+        total = 0
+        for ((i, j), c), v in zip(terms, entries):
+            e, g, _, _ = _bracketed(case, xm, yn, (0, 0, r - i, s - j))
+            total += (c * v.numerator * (scale // v.denominator)
+                      * kn[e] * kd[top_e - e] * qn[g] * qd[top_g - g])
+        out.append(Fraction(total, hscale * scale * kd[top_e] * qd[top_g]))
+    return out
+
+
 def annihilation_residual(f, h, case, m, n, q, k):
     """Oracle: evaluate f on the case's bracketed product at (m, n).
 
-    The product is expanded with the twisted quantum-plane arithmetic, so
-    every q- and k-factor comes from the definitions; a zero residual
-    certifies the recursion at that cell.
+    Every q- and k-factor comes from the definitions of the twist and the
+    plane relation, applied to one monomial of h at a time (_residuals);
+    a zero residual certifies the recursion at that cell.  It shares no
+    code with the stencils of derive_recursion.
     """
-    expr = _case_expression(h, case, m, n, QParams(q, k))
-    return eval_functional(f, expr)
+    return _residuals(f, h, case, [(m, n)], q, k)[0]
 
 
 def derive_recursion(h, case, m, n, q, k):
@@ -343,12 +411,18 @@ def minimal_bipoly(f, rmax, smax):
         positions = [
             (i, j) for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)
         ]
+        # equations by antidiagonals out of the corner (r, s): a kernel prefix
+        # spans table rows and columns alike, where the equations of one table
+        # row are often rank-deficient, and it reads the smallest entries
+        cells = sorted(
+            ((m, n) for m in range(r, f.M + 1) for n in range(s, f.N + 1)),
+            key=lambda cell: (cell[0] + cell[1], cell[0]),
+        )
         rows = []
-        for m in range(r, f.M + 1):
-            for n in range(s, f.N + 1):
-                row = [grid[m - i][n - j] for (i, j) in positions]
-                row.append(-grid[m][n])
-                rows.append(row)
+        for m, n in cells:
+            row = [grid[m - i][n - j] for (i, j) in positions]
+            row.append(-grid[m][n])
+            rows.append(row)
         for vec in _certified_kernel(rows, len(positions) + 1):
             t = vec[(len(positions), 0)]
             if t != 0:

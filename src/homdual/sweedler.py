@@ -351,11 +351,10 @@ def sweedler_delta(quotient, functional):
     automatically kills J (x) G + G (x) J.
     """
     _require_same_quotient(quotient, functional)
+    support = {k: c for k, c in enumerate(functional.coeffs) if c}
     terms = {}
     for (i, j), vec in quotient.qmul.items():
-        value = Fraction(0)
-        for k, coeff in vec.items():
-            value += coeff * functional.coeffs[k]
+        value = sum(coeff * support[k] for k, coeff in vec.items() if k in support)
         if value != 0:
             terms[(i, j)] = value
     return TensorFunctional(quotient, terms)

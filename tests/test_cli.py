@@ -296,6 +296,19 @@ def test_seq_oracle_flags_twisted_mismatch():
     assert doc["violations"] == [{"at": [1, 1], "residual": "39"}]
 
 
+@pytest.mark.parametrize("flag", ["--q=0", "--k=0"])
+def test_seq_oracle_rejects_a_zero_parameter_without_interior_cells(tmp_path, capsys, flag):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"kind": "bisequence", "M": 0, "N": 3,
+                                 "entries": [["1", "2", "3", "4"]]}))
+    argv = ["seq-oracle", "--table", str(table), "--h", str(INSTANCES / "delannoy.json"),
+            "--case", "1", "--q=1", flag, "--all"]
+    assert cli.dispatch(argv) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "error"
+    assert doc["error"] == "%s must be nonzero" % flag[2]
+
+
 def test_seq_oracle_needs_exactly_one_site():
     proc = run("seq-oracle", "--table", "instances/delannoy_table_8x8.json",
                "--h", "instances/delannoy.json", "--case", "1", "--q", "1", "--k", "1")

@@ -9,7 +9,7 @@ import pytest
 from homdual import recseq
 from homdual.errors import InputError
 from homdual.exact_math import Matrix, mat_kernel
-from homdual.qplane import QParams, qbinom, quantum_binomial_expand
+from homdual.qplane import QParams, eval_functional, qbinom, quantum_binomial_expand
 from homdual.recseq import (
     BiPoly,
     BiSequence,
@@ -155,6 +155,72 @@ def test_residual_requires_interior_cell():
     t = delannoy_table(2, 2)
     with pytest.raises(InputError):
         annihilation_residual(t, DELANNOY_H, 1, 0, 1, 1, 1)
+
+
+def expanded_residual(f, h, case, m, n, q, k):
+    """Reference: both polynomial hom_products of the bracketing, then the functional."""
+    return eval_functional(f, recseq._case_expression(h, case, m, n, QParams(q, k)))
+
+
+def outcome(thunk):
+    """The value, or the exception's type and message."""
+    try:
+        return thunk()
+    except ValueError as exc:
+        return (type(exc), str(exc))
+
+
+ORACLE_QK = ((1, 1), (-1, 1), (2, -1), (Fraction(-1, 2), Fraction(3, 2)),
+             (Fraction(5, 3), Fraction(-2, 3)), ("7/5", "-3/4"), ("-3/4", 1), (1, "7/5"))
+
+
+def oracle_inputs():
+    """Seeded (h, table) pairs, r, s <= 3, tables with rational and zero entries."""
+    rng = random.Random(20261019)
+    values = (0, 0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4))
+    for r, s in ((0, 0), (0, 2), (1, 1), (2, 1), (1, 3), (3, 2), (3, 3)) * 2:
+        coeffs = {(i, j): rng.choice(values) for i in range(r + 1) for j in range(s + 1)
+                  if (i, j) != (0, 0)}
+        M, N = r + rng.randint(0, 3), s + rng.randint(0, 3)
+        yield BiPoly(r, s, coeffs), BiSequence.from_function(lambda m, n: rng.choice(values), M, N)
+
+
+def test_residual_batch_matches_expanded_products():
+    compared = failed = 0
+    for h, table in oracle_inputs():
+        window = [(m, n) for m in range(h.r - 1, table.M + 2) for n in range(h.s - 1, table.N + 2)]
+        for case in (1, 2, 3):
+            for q, k in ORACLE_QK:
+                want = [outcome(lambda m=m, n=n: expanded_residual(table, h, case, m, n, q, k))
+                        for m, n in window]
+                got = [outcome(lambda m=m, n=n: annihilation_residual(table, h, case, m, n, q, k))
+                       for m, n in window]
+                assert got == want
+                assert all(type(v) is Fraction for v in got if not isinstance(v, tuple))
+                good = [cell for cell, v in zip(window, want) if not isinstance(v, tuple)]
+                assert recseq._residuals(table, h, case, good, q, k) == [
+                    v for v in want if not isinstance(v, tuple)
+                ]
+                # the whole window stops at its first bad cell, with that cell's error
+                first_bad = next(v for v in want if isinstance(v, tuple))
+                assert outcome(lambda: recseq._residuals(table, h, case, window, q, k)) == first_bad
+                compared += len(window)
+                failed += len(window) - len(good)
+    assert compared > 5000 and failed > 1000
+
+
+def test_residual_errors_come_in_the_order_of_the_expanded_products():
+    h, table = BiPoly(1, 1, {(1, 1): 2}), BiSequence.constant(Fraction(1, 3), 3, 3)
+    for q, k, case, m, n in ((0, 1, 9, 0, 0), (1, 0, 9, 0, 0), ("x", 0, 1, 1, 1),
+                             (1, "1/0", 1, 1, 1), (1, 1, 9, 0, 0), (1, 1, 2, 0, 9),
+                             (1, 1, 3, 4, 4), (1, 1, 1, 9, 0)):
+        want = outcome(lambda: expanded_residual(table, h, case, m, n, q, k))
+        assert isinstance(want, tuple)
+        assert outcome(lambda: annihilation_residual(table, h, case, m, n, q, k)) == want
+    # parameters are checked even when there is no cell to evaluate
+    for q, k in ((0, 1), (1, 0)):
+        with pytest.raises(InputError, match="must be nonzero"):
+            recseq._residuals(table, h, 1, [], q, k)
 
 
 # ---------------------------------------------------------------- stencils
@@ -531,6 +597,31 @@ def test_minimal_bipoly_matches_full_kernel_search():
             assert minimal_bipoly(table, rmax, smax) == want
             found += want is not None
     assert found >= 12
+
+
+def test_antidiagonal_prefix_spares_kernel_solves(monkeypatch):
+    """Case-2/3 fills at q = 5/3 have no constant annihilator; a prefix from table
+    row m = r alone is often rank-deficient there and has to double."""
+    rng = random.Random(20261020)
+    tables = []
+    for _ in range(12):
+        r, s = rng.randint(1, 2), rng.randint(1, 2)
+        coeffs = {(i, j): rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+                  for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)}
+        boundary = {key: rng.randint(-3, 3) for key in ones_boundary(r, s, 9, 9)}
+        tables.append(generate_sequence(BiPoly(r, s, coeffs), rng.choice((2, 3)),
+                                        Fraction(5, 3), boundary, 9, 9))
+    calls = []
+    monkeypatch.setattr(recseq, "mat_kernel", lambda m: calls.append(1) or mat_kernel(m))
+    for table in tables:
+        for r, s in recseq._bidegree_candidates(3, 3):
+            positions, rows = bipoly_system(table, r, s)  # row by row, as before
+            recseq._certified_kernel(rows, len(positions) + 1)
+    row_major, calls[:] = len(calls), []
+    for table in tables:
+        assert minimal_bipoly(table, 3, 3) == kernel_minimal_bipoly(table, 3, 3)
+    systems = len(tables) * len(list(recseq._bidegree_candidates(3, 3)))
+    assert systems <= len(calls) < row_major
 
 
 def test_certified_kernel_against_sympy_nullspace():

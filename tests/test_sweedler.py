@@ -191,6 +191,27 @@ def test_sweedler_delta_tensor_deconcatenation():
     assert delta.terms == {(empty, w): 1, (x, y): 1, (w, empty): 1}
 
 
+def test_sweedler_delta_skips_zero_coefficients_exactly():
+    """The dense sum over every qmul entry, kept here as the reference."""
+    rng = random.Random(20261021)
+    for quo in (make_poly_quotient(5, Fraction(3, 2)), make_tensor_quotient(2, 2, (2, -1)),
+                make_qplane_quotient(3, 2, Fraction(5, 3), -2)):
+        for density in (0.0, 0.2, 1.0):
+            coeffs = [rng.choice((1, -2, Fraction(1, 3))) if rng.random() < density else 0
+                      for _ in range(quo.dim)]
+            want = {}
+            for key, vec in quo.qmul.items():
+                value = Fraction(0)
+                for k, coeff in vec.items():
+                    value += coeff * Fraction(coeffs[k])
+                if value != 0:
+                    want[key] = value
+            got = sweedler_delta(quo, SweedlerFunctional(quo, coeffs)).terms
+            assert got == want
+            assert list(got) == list(want)
+            assert all(type(v) is Fraction for v in got.values())
+
+
 def test_sweedler_twist():
     q1 = make_poly_quotient(3, 1)
     f = SweedlerFunctional(q1, [1, 2, 3, 4])
