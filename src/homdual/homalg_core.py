@@ -13,7 +13,7 @@ and comodule checks run the algebra and module sweeps on the transposes and
 regroup both sides of each axiom by output index.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InputError
@@ -137,15 +137,14 @@ def _norm_split(data, src, d1, d2, what):
     return table
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(namedtuple("AxiomReport", "violations")):
     """Outcome of a verifier: passed iff the violation list is empty.
 
     Each violation is (axiom-name, basis-index-tuple, lhs, rhs) with both
     sides in canonical sparse form.
     """
 
-    violations: tuple
+    __slots__ = ()
 
     @property
     def passed(self):

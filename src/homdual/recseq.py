@@ -17,7 +17,7 @@ q-Pascal triangle per convolution.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from fractions import Fraction
 
@@ -118,13 +118,13 @@ class BiSequence:
         return "BiSequence(M=%d, N=%d)" % (self.M, self.N)
 
 
-@dataclass(frozen=True)
-class RecursionStencil:
-    """Asserted relation f_{m,n} = sum coeffs[(i,j)] f_{m-i,n-j} at a stated cell."""
+class RecursionStencil(namedtuple("RecursionStencil", "m n coeffs")):
+    """Asserted relation f_{m,n} = sum coeffs[(i,j)] f_{m-i,n-j} at a stated cell.
 
-    m: int
-    n: int
-    coeffs: tuple  # sorted ((i, j), value) pairs
+    coeffs holds sorted ((i, j), value) pairs.
+    """
+
+    __slots__ = ()
 
     def as_dict(self):
         return {key: val for key, val in self.coeffs}
