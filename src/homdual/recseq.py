@@ -414,15 +414,13 @@ def minimal_bipoly(f, rmax, smax):
         # equations by antidiagonals out of the corner (r, s): a kernel prefix
         # spans table rows and columns alike, where the equations of one table
         # row are often rank-deficient, and it reads the smallest entries
-        cells = sorted(
-            ((m, n) for m in range(r, f.M + 1) for n in range(s, f.N + 1)),
-            key=lambda cell: (cell[0] + cell[1], cell[0]),
-        )
         rows = []
-        for m, n in cells:
-            row = [grid[m - i][n - j] for (i, j) in positions]
-            row.append(-grid[m][n])
-            rows.append(row)
+        for total in range(r + s, f.M + f.N + 1):
+            for m in range(max(r, total - f.N), min(f.M, total - s) + 1):
+                n = total - m
+                row = [grid[m - i][n - j] for (i, j) in positions]
+                row.append(-grid[m][n])
+                rows.append(row)
         for vec in _certified_kernel(rows, len(positions) + 1):
             t = vec[(len(positions), 0)]
             if t != 0:
