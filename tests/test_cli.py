@@ -379,7 +379,7 @@ ORACLE = ["seq-oracle", "--table", str(INSTANCES / "delannoy_table_8x8.json"),
 
 
 def test_cli_start_imports_no_dataclass_machinery():
-    # dataclasses imports inspect, ast and dis: about 1 MB and 5 ms on every CLI start
+    # dataclasses imports inspect, ast and dis: close to 1 MB and 5 ms on every CLI start
     code = ("import sys; sys.path.insert(0, %r); import homdual.cli; "
             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)

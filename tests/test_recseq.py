@@ -615,7 +615,7 @@ def test_antidiagonal_prefix_spares_kernel_solves(monkeypatch):
     monkeypatch.setattr(recseq, "mat_kernel", lambda m: calls.append(1) or mat_kernel(m))
     for table in tables:
         for r, s in recseq._bidegree_candidates(3, 3):
-            positions, rows = bipoly_system(table, r, s)  # row by row, as before
+            positions, rows = bipoly_system(table, r, s)  # row by row, table row r first
             recseq._certified_kernel(rows, len(positions) + 1)
     row_major, calls[:] = len(calls), []
     for table in tables:
