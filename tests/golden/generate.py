@@ -47,6 +47,7 @@ from homdual.homalg_core import (
     verify_hom_coalgebra,
     verify_hom_comodule,
     verify_hom_module,
+    yau_twist,
 )
 from homdual.qplane import qbinom
 from homdual.recseq import (
@@ -73,7 +74,14 @@ from homdual.sweedler import (
     sweedler_twist,
     verify_quotient,
 )
-from homdual.zoo import zoo_algebras
+from homdual.zoo import (
+    conjugation_endo_2x2,
+    diagonal_algebra,
+    dual_numbers,
+    matrix_algebra_2x2,
+    scaling_endo_dual_numbers,
+    zoo_algebras,
+)
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent
@@ -817,6 +825,149 @@ def _seq_oracle_cases(cases):
             )
 
 
+# ------------------------------------------------------- rational structures
+
+PRIMES = tuple(p for p in range(2, 98) if all(p % d for d in range(2, p)))
+
+
+def _rational(rng, dens):
+    return Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 7)), rng.choice(dens))
+
+
+def _rational_matrix(rng, rows, cols, dens, density=0.7):
+    return Matrix(
+        [[_rational(rng, dens) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _diagonal(values):
+    n = len(values)
+    return Matrix([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def _rational_algebras():
+    """{label: algebra}: non-integral constants, the two sides of each axiom on other denominators."""
+    rng = random.Random("rational-algebras")
+    poly = make_poly_quotient(4, Fraction(3, 2)).as_hom_algebra()
+    out = {
+        "dual-numbers/twist-5-7": FiniteHomAlgebra(
+            2, dual_numbers().mul, Matrix([[Fraction(1, 5), Fraction(2, 7)], [0, Fraction(-3, 7)]])
+        ),
+        "poly-N4-k3/2/twist-diag": FiniteHomAlgebra(
+            5, poly.mul, _diagonal([Fraction(1), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 9), 7])
+        ),
+        "diagonal-3/twist-rational": FiniteHomAlgebra(
+            3, diagonal_algebra(3).mul, _rational_matrix(rng, 3, 3, (3, 5, 7))
+        ),
+        "matrix-2x2/twist-rational": FiniteHomAlgebra(
+            4, matrix_algebra_2x2().mul, _rational_matrix(rng, 4, 4, (2, 11, 13), 0.4)
+        ),
+        "zero-table/twist-rational": FiniteHomAlgebra(3, {}, _rational_matrix(rng, 3, 3, (5, 6))),
+    }
+    for dim in (1, 2, 3, 4):
+        dens = rng.sample(PRIMES, 3)
+        mul = {
+            (i, j): {k: _rational(rng, dens) for k in range(dim) if rng.random() < 0.5}
+            for i in range(dim)
+            for j in range(dim)
+        }
+        out["random-d%d" % dim] = FiniteHomAlgebra(dim, mul, _rational_matrix(rng, dim, dim, dens))
+    # every denominator a different prime, 2 through 97, read in turn
+    primes = iter(PRIMES * 3)
+    mul = {
+        (i, j): {(i + j) % 5: Fraction(rng.choice((-1, 1, 2)), next(primes))}
+        for i in range(5)
+        for j in range(5)
+    }
+    twist = Matrix([[Fraction(1, next(primes)) if i == j or j == i + 1 else 0
+                     for j in range(5)] for i in range(5)])
+    out["primes-2-97"] = FiniteHomAlgebra(5, mul, twist)
+    return out
+
+
+def _rational_structure_cases(cases):
+    rng = random.Random("rational-structures")
+    for name, alg in _rational_algebras().items():
+        n = alg.dim
+        dens = rng.sample(PRIMES, 2)
+        modules = {
+            "regular": regular_module(alg),
+            "mtwist": FiniteHomModule(alg, n, alg.mul, _rational_matrix(rng, n, n, dens)),
+            "small": FiniteHomModule(
+                alg,
+                2,
+                {(a, i): {b: _rational(rng, dens) for b in range(2) if rng.random() < 0.5}
+                 for a in range(2) for i in range(n)},
+                _rational_matrix(rng, 2, 2, dens),
+            ),
+        }
+        dual = dualize_algebra(alg)
+        structures = [("algebra", "algebra", alg), ("coalgebra", "coalgebra", dual)]
+        for label, module in modules.items():
+            structures.append(("module-" + label, "module", module))
+            structures.append(("comodule-" + label, "comodule", dualize_module(module)))
+        for label, kind, structure in structures:
+            _verify_cases(cases, "rational/%s/%s" % (name, label), kind, structure)
+        module, comodule = modules["mtwist"], dualize_module(modules["mtwist"])
+        maps = {
+            "rational": LinearMapCandidate(n, n, _rational_matrix(rng, n, n, dens)),
+            "twist-scaled": LinearMapCandidate(
+                n, n, Matrix([[x / 3 for x in row] for row in alg.twist.entries], cols=n)
+            ),
+        }
+        for label, cand in maps.items():
+            prefix = "rational/%s/morphism-%s" % (name, label)
+            cases[prefix + "/algebra"] = lambda cand=cand, alg=alg: _report(
+                check_algebra_morphism(alg, alg, cand)
+            )
+            cases[prefix + "/coalgebra"] = lambda cand=cand, dual=dual: _report(
+                check_coalgebra_morphism(dual, dual, dualize_algebra_morphism(cand))
+            )
+            cases[prefix + "/module"] = lambda cand=cand, module=module: _report(
+                check_module_morphism(module, module, cand)
+            )
+            cases[prefix + "/comodule"] = lambda cand=cand, comodule=comodule: _report(
+                check_comodule_morphism(comodule, comodule, dualize_module_morphism(cand))
+            )
+
+
+def _yau_cases(cases):
+    """yau_twist on classical algebras with rational endomorphisms: results and refusals."""
+    rng = random.Random("yau-rational")
+    poly = make_poly_quotient(4, 1).as_hom_algebra()
+    endos = {
+        "dual-numbers/scale-2/7": (dual_numbers(), scaling_endo_dual_numbers(Fraction(2, 7))),
+        "dual-numbers/upper-1/3": (dual_numbers(), Matrix([[1, Fraction(1, 3)], [0, 1]])),
+        "dual-numbers/rational": (dual_numbers(), _rational_matrix(rng, 2, 2, (3, 5))),
+        "diagonal-3/diag": (diagonal_algebra(3), _diagonal([1, Fraction(1, 2), Fraction(-1, 3)])),
+        "diagonal-3/rational": (diagonal_algebra(3), _rational_matrix(rng, 3, 3, (7, 11))),
+        "matrix-2x2/conjugation": (
+            matrix_algebra_2x2(), conjugation_endo_2x2(Fraction(1, 2), Fraction(1, 3), 0, 5)
+        ),
+        "matrix-2x2/conjugation-bumped": (
+            matrix_algebra_2x2(),
+            _bumped_twist(conjugation_endo_2x2(Fraction(1, 2), Fraction(1, 3), 0, 5), rng),
+        ),
+        "matrix-2x2/rational": (matrix_algebra_2x2(), _rational_matrix(rng, 4, 4, PRIMES[:6])),
+        "poly-N4-k1/powers": (poly, _diagonal([Fraction(3, 5) ** a for a in range(5)])),
+        "poly-N4-k1/powers-bumped": (
+            poly, _diagonal([Fraction(3, 5) ** a + (a == 3) for a in range(5)])
+        ),
+        "poly-N4-k1/primes": (poly, _diagonal([Fraction(1, p) for p in PRIMES[:5]])),
+        "twisted-input": (
+            FiniteHomAlgebra(2, dual_numbers().mul, scaling_endo_dual_numbers(Fraction(1, 2))),
+            Matrix.identity(2),
+        ),
+        "wrong-shape": (dual_numbers(), Matrix.identity(3)),
+    }
+    for label, (assoc, endo) in endos.items():
+        cases["yau/%s" % label] = lambda assoc=assoc, endo=endo: _guarded(
+            lambda: documents.algebra_doc(yau_twist(assoc, endo))
+        )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -831,6 +982,8 @@ def cases():
     _qbinom_cases(out)
     _row_minimal_cases(out)
     _seq_oracle_cases(out)
+    _rational_structure_cases(out)
+    _yau_cases(out)
     return out
 
 
