@@ -13,6 +13,7 @@ from .errors import InputError
 Rational = Fraction
 
 _RAT_RE = re.compile(r"^-?\d+(/-?\d+)?$")
+_ZERO = Fraction(0)  # what the literal "0", the commonest entry of a document, parses to
 
 
 def rat(value):
@@ -26,6 +27,8 @@ def rat(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if value == "0":
+            return _ZERO
         text = value.strip()
         if not _RAT_RE.match(text):
             raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))

@@ -1,5 +1,7 @@
 import decimal
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,48 @@ def test_rat_rejects_floats_and_garbage():
     for bad in (1.5, "1.5", "x", "", "1/0", None, "3/", [1]):
         with pytest.raises(InputError):
             rat(bad)
+
+
+def _rat_before_the_zero_literal(value):
+    """rat as it was before "0" skipped the regex: the reference for every literal."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        if not re.match(r"^-?\d+(/-?\d+)?$", text):
+            raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))
+        num, _, den = text.partition("/")
+        try:
+            if not den:
+                return Fraction(int(num))
+            num, den = int(num), int(den)
+        except ValueError:
+            raise InputError(
+                "rational literal of %d characters exceeds the %d-digit integer limit"
+                % (len(text), sys.get_int_max_str_digits())
+            )
+        if den == 0:
+            raise InputError("zero denominator in rational literal %r" % (value,))
+        return Fraction(num, den)
+    raise InputError("cannot coerce %r to a rational" % (value,))
+
+
+def _outcome(parse, value):
+    try:
+        out = parse(value)
+    except InputError as exc:
+        return "InputError", str(exc)
+    return type(out), out
+
+
+def test_rat_zero_literal_keeps_the_old_rules():
+    zeros = ["0", " 0 ", "-0", "00", "0/5", "0/0", "0.0", "", "0 /5", "+0", 0, False, Fraction(0)]
+    zeros += ["1", "-3/6", "1/0", "x", 1.5, None]
+    for value in zeros:
+        assert _outcome(rat, value) == _outcome(_rat_before_the_zero_literal, value), value
+    assert rat("0") is rat("0")  # one shared zero
 
 
 def test_rat_str_canonical():
