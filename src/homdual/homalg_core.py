@@ -15,6 +15,7 @@ regroup both sides of each axiom by output index.
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
 from .exact_math import Matrix, rat
@@ -64,15 +65,15 @@ def _flip(table):
     return out
 
 
-def canon(sparse):
-    """Sparse map -> sorted zero-free tuple of (index-tuple, value)."""
+def canon(sparse, den=1):
+    """Sparse map -> sorted zero-free tuple of (index-tuple, value / den), values Fractions."""
     out = []
     for key, val in sparse.items():
         if val == 0:
             continue
         if not isinstance(key, tuple):
             key = (key,)
-        out.append((key, val))
+        out.append((key, Fraction(val, den)))
     out.sort(key=lambda kv: kv[0])
     return tuple(out)
 
@@ -83,7 +84,7 @@ def _checked_matrix(m, rows, cols, what):
         m = Matrix(m)
     if m.rows != rows or m.cols != cols:
         raise InputError("%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, m.cols))
-    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j] != 0} for j in range(cols)]
+    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(cols)]
 
 
 def _ints(what, *index):
@@ -114,7 +115,7 @@ def _norm_constants(data, left, right, out, what):
             vec = enumerate(vec)
         for k, val in vec:
             val = rat(val)
-            if val == 0:
+            if not val:
                 continue
             if not (0 <= i < left and 0 <= j < right and 0 <= k < out):
                 raise InputError("%s index (%d,%d,%d) out of range" % (what, i, j, k))
@@ -129,7 +130,7 @@ def _norm_split(data, src, d1, d2, what):
         for (a, b), val in plane.items():
             _ints(what, s, a, b)
             val = rat(val)
-            if val == 0:
+            if not val:
                 continue
             if not (0 <= s < src and 0 <= a < d1 and 0 <= b < d2):
                 raise InputError("%s index (%d,%d,%d) out of range" % (what, s, a, b))
@@ -190,12 +191,6 @@ class FiniteHomAlgebra(_Structure):
     def __repr__(self):
         return "FiniteHomAlgebra(dim=%d)" % self.dim
 
-    def mul_vector(self, i, j):
-        return self.mul.get((i, j), {})
-
-    def mul_entry(self, i, j, k):
-        return self.mul.get((i, j), {}).get(k, Fraction(0))
-
     def with_mul_entry(self, i, j, k, value):
         return self._with_entry((i, j), k, value)
 
@@ -216,9 +211,6 @@ class FiniteHomCoalgebra(_Structure):
 
     def __repr__(self):
         return "FiniteHomCoalgebra(dim=%d)" % self.dim
-
-    def comul_vector(self, k):
-        return self.comul.get(k, {})
 
     def with_comul_entry(self, k, i, j, value):
         return self._with_entry(k, (i, j), value)
@@ -242,9 +234,6 @@ class FiniteHomModule(_Structure):
     def __repr__(self):
         return "FiniteHomModule(mdim=%d over dim=%d)" % (self.mdim, self.algebra.dim)
 
-    def action_vector(self, a, i):
-        return self.action.get((a, i), {})
-
     def with_action_entry(self, a, i, b, value):
         return self._with_entry((a, i), b, value)
 
@@ -266,9 +255,6 @@ class FiniteHomComodule(_Structure):
 
     def __repr__(self):
         return "FiniteHomComodule(mdim=%d over dim=%d)" % (self.mdim, self.coalgebra.dim)
-
-    def coaction_vector(self, a):
-        return self.coaction.get(a, {})
 
     def with_coaction_entry(self, a, b, i, value):
         return self._with_entry(a, (b, i), value)
@@ -299,57 +285,85 @@ class LinearMapCandidate:
 # The engine.  Each axiom is a lazy sweep yielding (basis input tuple, lhs,
 # rhs) in report order, both sides sparse over the output basis; tuples where
 # both sides are structurally zero are skipped.  Maps are lists of sparse
-# columns, bilinear maps are {(a, b): {k: coeff}} tables.
+# columns, bilinear maps are {(a, b): {k: coeff}} tables.  The sweeps run on
+# integers: every table comes in as (D, table times D), D the lcm of its
+# denominators, and each sweep returns (sweep, lhs denominator, rhs
+# denominator), the products of the D's that each side contracts.
+
+
+def _int_cols(cols):
+    """(D, the sparse columns times D as ints), D the lcm of their denominators."""
+    den = lcm(*{v.denominator for vec in cols for v in vec.values()})
+    return den, [{k: v.numerator * (den // v.denominator) for k, v in vec.items()} for vec in cols]
+
+
+def _int_table(table):
+    """(D, the {key: {k: coeff}} table times D as ints), D the lcm of its denominators."""
+    den, vecs = _int_cols(table.values())
+    return den, dict(zip(table, vecs))
 
 
 def _pairs(f, src, dst, g):
     """At (x, y): f(src(e_x, e_y)) against dst(f(e_x), g(e_y))."""
-    for x in range(len(f)):
-        for y in range(len(g)):
-            sxy = src.get((x, y), {})
-            if sxy or (f[x] and g[y]):
-                yield (x, y), _apply(f, sxy), _bilinear(dst, f[x], g[y])
+    (df, f), (ds, src), (dd, dst), (dg, g) = f, src, dst, g
+
+    def sweep():
+        for x in range(len(f)):
+            for y in range(len(g)):
+                sxy = src.get((x, y), {})
+                if sxy or (f[x] and g[y]):
+                    yield (x, y), _apply(f, sxy), _bilinear(dst, f[x], g[y])
+
+    return sweep(), df * ds, dd * df * dg
 
 
 def _triples(t, f, left, right, g):
     """At (x, y, z): t(f(e_x), left(e_y, e_z)) against t(right(e_x, e_y), g(e_z))."""
-    reach = {}  # p -> every q with t(e_p, e_q) != 0
-    for p, q in t:
-        reach.setdefault(p, set()).add(q)
-    rows = {}  # y -> [(z, left(e_y, e_z))] over the nonzero entries, z ascending
-    for (y, z), vec in sorted(left.items()):
-        rows.setdefault(y, []).append((z, vec))
-    hits = {}  # q -> every z with e_q in the support of g(e_z)
-    for z, vec in enumerate(g):
-        for q in vec:
-            hits.setdefault(q, []).append(z)
+    (dt, t), (df, f), (dl, left), (dr, right), (dg, g) = t, f, left, right, g
 
-    def reached(vec):
-        return set().union(*(reach.get(p, ()) for p in vec))
+    def sweep():
+        reach = {}  # p -> every q with t(e_p, e_q) != 0
+        for p, q in t:
+            reach.setdefault(p, set()).add(q)
+        rows = {}  # y -> [(z, left(e_y, e_z))] over the nonzero entries, z ascending
+        for (y, z), vec in sorted(left.items()):
+            rows.setdefault(y, []).append((z, vec))
+        hits = {}  # q -> every z with e_q in the support of g(e_z)
+        for z, vec in enumerate(g):
+            for q in vec:
+                hits.setdefault(q, []).append(z)
 
-    for x in range(len(f)):
-        fx = f[x]
-        lhs_q = reached(fx)
-        for y in range(len(g)):
-            rxy = right.get((x, y), {})
-            zs = {z for z, lyz in rows.get(y, ()) if not lhs_q.isdisjoint(lyz)}
-            zs.update(z for q in reached(rxy) for z in hits.get(q, ()))
-            for z in sorted(zs):
-                yield (x, y, z), _bilinear(t, fx, left.get((y, z), {})), _bilinear(t, rxy, g[z])
+        def reached(vec):
+            return set().union(*(reach.get(p, ()) for p in vec))
+
+        for x in range(len(f)):
+            fx = f[x]
+            lhs_q = reached(fx)
+            for y in range(len(g)):
+                rxy = right.get((x, y), {})
+                zs = {z for z, lyz in rows.get(y, ()) if not lhs_q.isdisjoint(lyz)}
+                zs.update(z for q in reached(rxy) for z in hits.get(q, ()))
+                for z in sorted(zs):
+                    yield (x, y, z), _bilinear(t, fx, left.get((y, z), {})), _bilinear(t, rxy, g[z])
+
+    return sweep(), dt * df * dl, dt * dr * dg
 
 
 def _commutes(f, a, b):
     """At (x,): f(a(e_x)) against b(f(e_x))."""
-    for x in range(len(a)):
-        yield (x,), _apply(f, a[x]), _apply(b, f[x])
+    (df, f), (da, a), (db, b) = f, a, b
+    sweep = (((x,), _apply(f, a[x]), _apply(b, f[x])) for x in range(len(a)))
+    return sweep, df * da, db * df
 
 
-def _swapped(sweep):
-    return ((at, rhs, lhs) for at, lhs, rhs in sweep)
+def _swapped(axiom):
+    sweep, dl, dr = axiom
+    return ((at, rhs, lhs) for at, lhs, rhs in sweep), dr, dl
 
 
 def _algebra_axioms(mul, tw):
     """alpha(e_i e_j) = alpha(e_i) alpha(e_j); alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k)."""
+    mul, tw = _int_table(mul), _int_cols(tw)
     return {
         "twist-multiplicative": _pairs(tw, mul, mul, tw),
         "hom-associativity": _triples(mul, tw, mul, mul, tw),
@@ -358,6 +372,7 @@ def _algebra_axioms(mul, tw):
 
 def _module_axioms(act, gam, mul, tw):
     """gamma(m_a).alpha(e_i) = gamma(m_a.e_i); (m_a.e_i).alpha(e_j) = gamma(m_a).(e_i e_j)."""
+    act, gam, mul, tw = _int_table(act), _int_cols(gam), _int_table(mul), _int_cols(tw)
     return {
         "module-twist-compatibility": _swapped(_pairs(gam, act, act, tw)),
         "module-hom-associativity": _swapped(_triples(act, gam, mul, act, tw)),
@@ -366,16 +381,18 @@ def _module_axioms(act, gam, mul, tw):
 
 def _algebra_morphism_axioms(f, mul, tw, mul2, tw2):
     """F(e_i e_j) = F(e_i) F(e_j); F(alpha(e_i)) = alpha'(F(e_i))."""
+    f, tw, tw2 = _int_cols(f), _int_cols(tw), _int_cols(tw2)
     return {
-        "multiplication-compat": _pairs(f, mul, mul2, f),
+        "multiplication-compat": _pairs(f, _int_table(mul), _int_table(mul2), f),
         "twist-compat": _commutes(f, tw, tw2),
     }
 
 
 def _module_morphism_axioms(f, act, gam, act2, gam2, tw):
     """sigma(m_a.e_i) = sigma(m_a).alpha(e_i); gamma'(sigma(m_a)) = sigma(gamma(m_a))."""
+    f, gam, gam2 = _int_cols(f), _int_cols(gam), _int_cols(gam2)
     return {
-        "action-compat": _pairs(f, act, act2, tw),
+        "action-compat": _pairs(f, _int_table(act), _int_table(act2), _int_cols(tw)),
         "twist-compat": _swapped(_commutes(f, gam, gam2)),
     }
 
@@ -392,34 +409,55 @@ _DUAL = {
 }
 
 
-def _by_output(sweep, swapped):
-    """A sweep read by output index k: at (k,), both sides as {input tuple: value}."""
-    left, right = {}, {}
-    for at, lhs, rhs in sweep:
-        for k, val in lhs.items():
-            left.setdefault(k, {})[at] = val
-        for k, val in rhs.items():
-            right.setdefault(k, {})[at] = val
-    if swapped:
-        left, right = right, left
-    for k in sorted(left.keys() | right.keys()):
-        yield (k,), left.get(k, {}), right.get(k, {})
+def _by_output(axiom, swapped):
+    """An axiom read by output index k: at (k,), both sides as {input tuple: value}."""
+    sweep, dl, dr = axiom
+
+    def regrouped():
+        left, right = {}, {}
+        for at, lhs, rhs in sweep:
+            for k, val in lhs.items():
+                left.setdefault(k, {})[at] = val
+            for k, val in rhs.items():
+                right.setdefault(k, {})[at] = val
+        if swapped:
+            left, right = right, left
+        for k in sorted(left.keys() | right.keys()):
+            yield (k,), left.get(k, {}), right.get(k, {})
+
+    return (regrouped(), dr, dl) if swapped else (regrouped(), dl, dr)
 
 
 def _dual(axioms):
     """The coalgebra-side axioms: each algebra-side sweep read by output, renamed."""
-    return {_DUAL[name][0]: _by_output(sweep, _DUAL[name][1]) for name, sweep in axioms.items()}
+    return {_DUAL[name][0]: _by_output(axiom, _DUAL[name][1]) for name, axiom in axioms.items()}
+
+
+def _failures(axiom):
+    """(at, lhs, rhs) of each swept tuple whose sides differ, in canonical form.
+
+    The two sides are compared over the lcm of their denominators.
+    """
+    sweep, dl, dr = axiom
+    common = lcm(dl, dr)
+    ml, mr = common // dl, common // dr
+    for at, lhs, rhs in sweep:
+        if ml == mr:  # both 1: the sides share a denominator
+            differ = lhs != rhs
+        else:
+            differ = lhs.keys() != rhs.keys() or any(v * ml != rhs[k] * mr for k, v in lhs.items())
+        if differ:
+            yield at, canon(lhs, dl), canon(rhs, dr)
 
 
 def _report(axioms, stop_early=False):
     """One violation per swept tuple whose sides differ, in sweep order."""
     violations = []
-    for name, sweep in axioms.items():
-        for at, lhs, rhs in sweep:
-            if lhs != rhs:
-                violations.append((name, at, canon(lhs), canon(rhs)))
-                if stop_early:
-                    return AxiomReport(tuple(violations))
+    for name, axiom in axioms.items():
+        for at, lhs, rhs in _failures(axiom):
+            violations.append((name, at, lhs, rhs))
+            if stop_early:
+                return AxiomReport(tuple(violations))
     return AxiomReport(tuple(violations))
 
 
@@ -528,11 +566,8 @@ def yau_twist(assoc, endo):
     endo, cols = _checked_matrix(endo, assoc.dim, assoc.dim, "endo")
     if not assoc.twist.is_identity():
         raise InputError("yau_twist input must carry the identity twist")
-    for at, lhs, rhs in _algebra_axioms(assoc.mul, cols)["twist-multiplicative"]:
-        if lhs != rhs:
-            raise InputError(
-                "endo is not an algebra endomorphism: fails at basis pair (%d, %d)" % at
-            )
+    for at, _, _ in _failures(_algebra_axioms(assoc.mul, cols)["twist-multiplicative"]):
+        raise InputError("endo is not an algebra endomorphism: fails at basis pair (%d, %d)" % at)
     mul = {key: _apply(cols, vec) for key, vec in assoc.mul.items()}
     return FiniteHomAlgebra(assoc.dim, mul, endo)
 

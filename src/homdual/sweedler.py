@@ -125,13 +125,13 @@ class QuotientPresentation:
         """Index of an ambient monomial in the quotient basis, None if it dies."""
         return self.key_index.get(self._canon_key(key))
 
-    def ambient_product(self, key1, key2):
-        """Twisted product of two ambient monomials: (coefficient, monomial key)."""
-        key1, key2 = self._canon_key(key1), self._canon_key(key2)
-        return self._weight(key1, key2), self._times(key1, key2)
+    @cached_property
+    def _hom_algebra(self):
+        return FiniteHomAlgebra(self.dim, self.qmul, self.qtwist)
 
     def as_hom_algebra(self):
-        return FiniteHomAlgebra(self.dim, self.qmul, self.qtwist)
+        """The quotient as a FiniteHomAlgebra, built on first use and then shared."""
+        return self._hom_algebra
 
 
 def make_poly_quotient(N, k):
@@ -286,19 +286,6 @@ class SweedlerFunctional:
         )
         return "SweedlerFunctional(%s)" % (body or "0")
 
-    def evaluate_vector(self, vec):
-        """Value on a quotient element given by dense basis coordinates."""
-        if len(vec) != len(self.coeffs):
-            raise InputError("coordinate count does not match the quotient dimension")
-        return sum(
-            (c * v for c, v in zip(self.coeffs, vec)),
-            Fraction(0),
-        )
-
-    def evaluate_key(self, key):
-        """Value on an ambient monomial (zero when the monomial lies in the ideal)."""
-        idx = self.quotient.project_index(key)
-        return self.coeffs[idx] if idx is not None else Fraction(0)
 
 
 def dual_basis_functional(quotient, i):

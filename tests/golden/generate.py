@@ -143,20 +143,20 @@ def _mutants(kind, s, rng):
         bump = rng.choice(BUMPS)
         if kind == "algebra":
             i, j, k = (rng.randrange(s.dim) for _ in range(3))
-            out.append(s.with_mul_entry(i, j, k, s.mul_entry(i, j, k) + bump))
+            out.append(s.with_mul_entry(i, j, k, s.mul.get((i, j), {}).get(k, 0) + bump))
         elif kind == "coalgebra":
             k, i, j = (rng.randrange(s.dim) for _ in range(3))
-            old = s.comul_vector(k).get((i, j), 0)
+            old = s.comul.get(k, {}).get((i, j), 0)
             out.append(s.with_comul_entry(k, i, j, old + bump))
         elif kind == "module":
             a, b = rng.randrange(s.mdim), rng.randrange(s.mdim)
             i = rng.randrange(s.algebra.dim)
-            old = s.action_vector(a, i).get(b, 0)
+            old = s.action.get((a, i), {}).get(b, 0)
             out.append(s.with_action_entry(a, i, b, old + bump))
         else:
             a, b = rng.randrange(s.mdim), rng.randrange(s.mdim)
             i = rng.randrange(s.coalgebra.dim)
-            old = s.coaction_vector(a).get((b, i), 0)
+            old = s.coaction.get(a, {}).get((b, i), 0)
             out.append(s.with_coaction_entry(a, b, i, old + bump))
     if kind == "algebra":
         out.append(FiniteHomAlgebra(s.dim, s.mul, _bumped_twist(s.twist, rng)))

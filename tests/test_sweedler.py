@@ -11,10 +11,12 @@ from homdual.errors import InputError, MorphismError
 from homdual.exact_math import Matrix
 from homdual.homalg_core import (
     AxiomReport,
+    FiniteHomAlgebra,
     LinearMapCandidate,
     canon,
     check_algebra_morphism,
     dualize_algebra,
+    verify_hom_algebra,
     verify_hom_coalgebra,
 )
 from homdual.sweedler import (
@@ -132,15 +134,30 @@ def test_verify_quotient_catches_bad_table():
     assert "quotient-projection-consistency" in axioms
 
 
+def test_as_hom_algebra_is_built_once():
+    q = make_qplane_quotient(2, 2, 2, 3)
+    alg = q.as_hom_algebra()
+    assert q.as_hom_algebra() is alg
+    assert alg == FiniteHomAlgebra(q.dim, q.qmul, q.qtwist)
+    before = verify_quotient(q)
+    assert before.passed
+    bad = alg.with_mul_entry(1, 3, 4, 5)
+    assert bad != alg and not verify_hom_algebra(bad).passed
+    assert q.as_hom_algebra() is alg
+    assert alg == FiniteHomAlgebra(q.dim, q.qmul, q.qtwist)
+    assert verify_quotient(q) == before
+
+
 def test_project_and_ambient_product():
     q = make_poly_quotient(3, 2)
     assert q.project_index(2) == 2
     assert q.project_index(9) is None
-    coeff, key = q.ambient_product(2, 2)
-    assert (coeff, key) == (16, 4)
+    # x^2 . x^2 = 16 x^4 dies in the box of degree 3 and lives in the box of degree 4
+    assert (2, 2) not in q.qmul
+    assert make_poly_quotient(4, 2).qmul[(2, 2)] == {4: 16}
     qq = make_qplane_quotient(2, 2, 2, 1)
-    coeff, key = qq.ambient_product((0, 1), (1, 0))
-    assert coeff == 2 and key == (1, 1)
+    y, x, xy = (qq.project_index(key) for key in ((0, 1), (1, 0), [1, 1]))
+    assert qq.qmul[(y, x)] == {xy: 2}
 
 
 # ------------------------------------------------------------- functionals
@@ -148,10 +165,12 @@ def test_project_and_ambient_product():
 
 def test_functional_evaluation():
     q = make_poly_quotient(3, 2)
-    f = SweedlerFunctional(q, [0, 0, 1, 0])
-    assert f.evaluate_key(2) == 1
-    assert f.evaluate_key(9) == 0
-    assert f.evaluate_vector([0, 3, 5, 0]) == 5
+    f = SweedlerFunctional(q, [0, 0, "1", 0])
+    assert f.coeffs == [0, 0, 1, 0] and all(type(c) is Fraction for c in f.coeffs)
+    assert f.coeffs[q.project_index(2)] == 1
+    assert q.project_index(9) is None  # x^9 lies in the ideal, where f vanishes
+    # f after the twist: alpha(x^2) = k^2 x^2 = 4 x^2
+    assert sweedler_twist(q, f).coeffs == [0, 0, 4, 0]
     with pytest.raises(InputError):
         SweedlerFunctional(q, [1, 2])
 
@@ -247,7 +266,7 @@ def test_dual_coalgebra_divided_powers():
     dual = quotient_dual_coalgebra(make_poly_quotient(5, 3))
     for n in range(6):
         want = {(i, n - i): Fraction(3) ** n for i in range(n + 1)}
-        assert dual.comul_vector(n) == want
+        assert dual.comul[n] == want
 
 
 # ---------------------------------------------------------------- pullback
@@ -321,8 +340,8 @@ def test_add_functionals_merges_truncations():
     assert s.quotient.params["N"] == 5
     assert s.coeffs == [0, 1, 1, 0, 0, 0]
     # the merged functional still evaluates like the sum on common monomials
-    assert s.evaluate_key(1) == 1
-    assert s.evaluate_key(2) == 1
+    assert s.coeffs[s.quotient.project_index(1)] == 1
+    assert s.coeffs[s.quotient.project_index(2)] == 1
 
 
 def test_add_functionals_qplane_box_merge():
@@ -332,9 +351,9 @@ def test_add_functionals_qplane_box_merge():
     g = dual_basis_functional(fb, fb.keys.index((1, 2)))
     s = add_functionals(f, g)
     assert s.quotient.params["R"] == 2 and s.quotient.params["S"] == 2
-    assert s.evaluate_key((2, 1)) == 1
-    assert s.evaluate_key((1, 2)) == 1
-    assert s.evaluate_key((0, 0)) == 0
+    assert s.coeffs[s.quotient.project_index((2, 1))] == 1
+    assert s.coeffs[s.quotient.project_index((1, 2))] == 1
+    assert s.coeffs[s.quotient.project_index((0, 0))] == 0
 
 
 def test_add_functionals_incompatible():
@@ -392,14 +411,23 @@ def test_ambient_products_match_the_family_formulas():
     families = set()
     for quotient, formula in family_cases():
         families.add(quotient.family)
-        pairs = 0
-        for key1, key2 in _ambient_pairs(quotient, 1):
-            assert quotient.ambient_product(key1, key2) == formula(key1, key2)
-            pairs += 1
-        assert pairs > quotient.dim ** 2
-        for (i, j), vec in quotient.qmul.items():
-            coeff, key = formula(quotient.keys[i], quotient.keys[j])
-            assert vec == {quotient.key_index[key]: coeff}
+        # the box verify_quotient sweeps: its product table against the formulas
+        rules = FAMILIES[quotient.family]
+        wide = dict(quotient.params)
+        for name in rules.bounds:
+            wide[name] = 2 * wide[name] + 1
+        big = rules.build(wide)
+        pairs = list(_ambient_pairs(quotient, 1))
+        assert pairs and all(big.project_index(key) is not None for pair in pairs for key in pair)
+        assert len(pairs) > quotient.dim ** 2
+        for table in (quotient, big):
+            for u, v in ((u, v) for u in table.keys for v in table.keys):
+                coeff, key = formula(u, v)
+                k = table.project_index(key)
+                assert table.qmul.get((table.key_index[u], table.key_index[v]), {}) == (
+                    {} if k is None else {k: coeff}
+                )
+        assert verify_quotient(quotient, 1).passed
         for i, key in enumerate(quotient.keys):
             assert quotient.qtwist.entries[i][i] == formula(key, quotient.keys[0])[0]
     assert families == {"poly", "tensor", "qplane"}
@@ -424,11 +452,8 @@ def test_twist_diagonal_is_the_product_with_the_unit():
         for params in SAMPLES[name]:
             q = rules.build(params)
             assert (q.family, q.params) == (name, params)
-            unit = q.keys[0]
             assert q.labels[0] == "1"
             for i, key in enumerate(q.keys):
-                assert q.ambient_product(key, unit) == (q.twist_diagonal[i], key)
-                assert q.ambient_product(unit, key) == (q.twist_diagonal[i], key)
                 assert q.qmul[(i, 0)] == q.qmul[(0, i)] == {i: q.twist_diagonal[i]}
                 assert q.qtwist.entries[i] == tuple(
                     q.twist_diagonal[i] if j == i else 0 for j in range(q.dim)
