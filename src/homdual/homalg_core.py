@@ -11,6 +11,18 @@ algebra read through the transpose (comul[k][(i,j)] = mul[(i,j)][k], twist
 transposed) and a comodule is a module read the same way, so the coalgebra
 and comodule checks run the algebra and module sweeps on the transposes and
 regroup both sides of each axiom by output index.
+
+The contraction is fraction-free.  Each axiom builder scales every table and
+every list of sparse columns it receives (products, actions, twists,
+candidate maps) to integers by the lcm D of that table's denominators, and
+the sweeps add and multiply only integers.  Each side of an axiom then
+carries one denominator, the product of the D's it contracts: for
+multiplicativity D_t*D_m against D_m*D_t*D_t, for Hom-associativity
+D_m*D_t*D_m against D_m*D_m*D_t, for a morphism's product D_F*D_m against
+D_m'*D_F*D_F.  Two sides are compared over the lcm of their denominators,
+and a differing tuple turns back into Fractions, value / denominator, only
+when it is reported (canon).  Reports are the same canonical Fractions, in
+the same order, as an exact rational contraction gives.
 """
 
 from collections import namedtuple
@@ -84,7 +96,7 @@ def _checked_matrix(m, rows, cols, what):
         m = Matrix(m)
     if m.rows != rows or m.cols != cols:
         raise InputError("%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, m.cols))
-    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j]} for j in range(cols)]
+    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j] != 0} for j in range(cols)]
 
 
 def _ints(what, *index):
@@ -115,7 +127,7 @@ def _norm_constants(data, left, right, out, what):
             vec = enumerate(vec)
         for k, val in vec:
             val = rat(val)
-            if not val:
+            if val == 0:
                 continue
             if not (0 <= i < left and 0 <= j < right and 0 <= k < out):
                 raise InputError("%s index (%d,%d,%d) out of range" % (what, i, j, k))
@@ -130,7 +142,7 @@ def _norm_split(data, src, d1, d2, what):
         for (a, b), val in plane.items():
             _ints(what, s, a, b)
             val = rat(val)
-            if not val:
+            if val == 0:
                 continue
             if not (0 <= s < src and 0 <= a < d1 and 0 <= b < d2):
                 raise InputError("%s index (%d,%d,%d) out of range" % (what, s, a, b))
@@ -409,28 +421,27 @@ _DUAL = {
 }
 
 
-def _by_output(axiom, swapped):
-    """An axiom read by output index k: at (k,), both sides as {input tuple: value}."""
-    sweep, dl, dr = axiom
-
-    def regrouped():
-        left, right = {}, {}
-        for at, lhs, rhs in sweep:
-            for k, val in lhs.items():
-                left.setdefault(k, {})[at] = val
-            for k, val in rhs.items():
-                right.setdefault(k, {})[at] = val
-        if swapped:
-            left, right = right, left
-        for k in sorted(left.keys() | right.keys()):
-            yield (k,), left.get(k, {}), right.get(k, {})
-
-    return (regrouped(), dr, dl) if swapped else (regrouped(), dl, dr)
+def _by_output(sweep, swapped):
+    """A sweep read by output index k: at (k,), both sides as {input tuple: value}."""
+    left, right = {}, {}
+    for at, lhs, rhs in sweep:
+        for k, val in lhs.items():
+            left.setdefault(k, {})[at] = val
+        for k, val in rhs.items():
+            right.setdefault(k, {})[at] = val
+    if swapped:
+        left, right = right, left
+    for k in sorted(left.keys() | right.keys()):
+        yield (k,), left.get(k, {}), right.get(k, {})
 
 
 def _dual(axioms):
     """The coalgebra-side axioms: each algebra-side sweep read by output, renamed."""
-    return {_DUAL[name][0]: _by_output(axiom, _DUAL[name][1]) for name, axiom in axioms.items()}
+    out = {}
+    for name, (sweep, dl, dr) in axioms.items():
+        dual, swapped = _DUAL[name]
+        out[dual] = (_by_output(sweep, swapped),) + ((dr, dl) if swapped else (dl, dr))
+    return out
 
 
 def _failures(axiom):
