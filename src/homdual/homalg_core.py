@@ -306,7 +306,14 @@ class LinearMapCandidate:
 def _int_cols(cols):
     """(D, the sparse columns times D as ints), D the lcm of their denominators."""
     den = lcm(*{v.denominator for vec in cols for v in vec.values()})
-    return den, [{k: v.numerator * (den // v.denominator) for k, v in vec.items()} for vec in cols]
+    out = []
+    for vec in cols:  # plain loops: a comprehension per column would cost a frame each
+        scaled = {}
+        for k, v in vec.items():
+            num, d = v.as_integer_ratio()
+            scaled[k] = num * (den // d)
+        out.append(scaled)
+    return den, out
 
 
 def _int_table(table):
@@ -447,18 +454,18 @@ def _dual(axioms):
 def _failures(axiom):
     """(at, lhs, rhs) of each swept tuple whose sides differ, in canonical form.
 
-    The two sides are compared over the lcm of their denominators.
+    Both sides are brought to the lcm of their denominators before they are compared.
     """
     sweep, dl, dr = axiom
     common = lcm(dl, dr)
     ml, mr = common // dl, common // dr
     for at, lhs, rhs in sweep:
-        if ml == mr:  # both 1: the sides share a denominator
-            differ = lhs != rhs
-        else:
-            differ = lhs.keys() != rhs.keys() or any(v * ml != rhs[k] * mr for k, v in lhs.items())
-        if differ:
-            yield at, canon(lhs, dl), canon(rhs, dr)
+        if ml != 1 and lhs:
+            lhs = {k: v * ml for k, v in lhs.items()}
+        if mr != 1 and rhs:
+            rhs = {k: v * mr for k, v in rhs.items()}
+        if lhs != rhs:
+            yield at, canon(lhs, common), canon(rhs, common)
 
 
 def _report(axioms, stop_early=False):

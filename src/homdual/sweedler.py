@@ -287,7 +287,6 @@ class SweedlerFunctional:
         return "SweedlerFunctional(%s)" % (body or "0")
 
 
-
 def dual_basis_functional(quotient, i):
     """The functional picking out the coefficient of the i-th basis label."""
     coeffs = [Fraction(0)] * quotient.dim
