@@ -12,8 +12,8 @@ transposed) and a comodule is a module read the same way, so the coalgebra
 and comodule checks run the algebra and module sweeps on the transposes and
 regroup both sides of each axiom by output index.
 
-The contraction is fraction-free.  Each axiom builder scales every table and
-every list of sparse columns it receives (products, actions, twists,
+The contraction is fraction-free.  Each _*_axioms function scales every table
+and every list of sparse columns it receives (products, actions, twists,
 candidate maps) to integers by the lcm D of that table's denominators, and
 the sweeps add and multiply only integers.  Each side of an axiom then
 carries one denominator, the product of the D's it contracts: for

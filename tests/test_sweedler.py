@@ -421,12 +421,13 @@ def test_ambient_products_match_the_family_formulas():
         assert pairs and all(big.project_index(key) is not None for pair in pairs for key in pair)
         assert len(pairs) > quotient.dim ** 2
         for table in (quotient, big):
-            for u, v in ((u, v) for u in table.keys for v in table.keys):
-                coeff, key = formula(u, v)
-                k = table.project_index(key)
-                assert table.qmul.get((table.key_index[u], table.key_index[v]), {}) == (
-                    {} if k is None else {k: coeff}
-                )
+            for u in table.keys:
+                for v in table.keys:
+                    coeff, key = formula(u, v)
+                    k = table.project_index(key)
+                    assert table.qmul.get((table.key_index[u], table.key_index[v]), {}) == (
+                        {} if k is None else {k: coeff}
+                    )
         assert verify_quotient(quotient, 1).passed
         for i, key in enumerate(quotient.keys):
             assert quotient.qtwist.entries[i][i] == formula(key, quotient.keys[0])[0]
