@@ -27,7 +27,7 @@ from pathlib import Path
 
 from homdual import cli, documents
 from homdual.errors import InputError
-from homdual.exact_math import Matrix, rat_str
+from homdual.exact_math import Matrix, mat_kernel, mat_rref, rat_str
 from homdual.homalg_core import (
     FiniteHomAlgebra,
     FiniteHomCoalgebra,
@@ -968,6 +968,162 @@ def _yau_cases(cases):
         )
 
 
+# ------------------------------------------------------------ linear algebra
+
+def _rref_matrices():
+    """{label: Matrix}: empty shapes, zero rows and columns, rank-deficient products, big entries."""
+    rng = random.Random("mat-rref")
+    out = {
+        "empty-0x0": Matrix([], cols=0),
+        "empty-0x3": Matrix([], cols=3),
+        "no-columns-3x0": Matrix([[], [], []]),
+        "zero-4x5": Matrix([[0] * 5 for _ in range(4)]),
+        "identity-4": Matrix.identity(4),
+    }
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 3), (3, 5), (5, 3), (6, 6), (8, 8)):
+        out["random-%dx%d" % (rows, cols)] = _rational_matrix(rng, rows, cols, (1, 2, 3, 7))
+    for rows, cols, rank in ((4, 4, 2), (5, 7, 3), (7, 5, 1), (8, 8, 5), (6, 8, 0)):
+        left = _rational_matrix(rng, rows, rank, (1, 3, 5), density=0.9)
+        right = _rational_matrix(rng, rank, cols, (1, 2, 9), density=0.9)
+        out["rank-%d-%dx%d" % (rank, rows, cols)] = Matrix(
+            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right.entries)]
+             if rank else [0] * cols for row in left.entries],
+            cols=cols,
+        )
+    base = _rational_matrix(rng, 5, 6, (2, 5))
+    grid = [list(row) for row in base.entries]
+    for row in grid:
+        row[2] = 0  # a zero column
+    grid[3] = [0] * 6  # a zero row
+    grid[4] = [x * Fraction(-3, 4) for x in grid[0]]  # a multiple of the first row
+    out["zero-row-column-multiple-5x6"] = Matrix(grid)
+    big = 1 << 200
+    out["big-6x7"] = Matrix(
+        [[Fraction(rng.randint(-big, big), rng.randint(1, big)) if rng.random() < 0.8 else 0
+          for _ in range(7)] for _ in range(6)]
+    )
+    out["big-integers-5x5-rank-3"] = Matrix(
+        [[(i + 1) * rng.randint(-big, big) if j < 3 else 0 for j in range(5)] for i in range(3)]
+        + [[rng.randint(-big, big) for _ in range(3)] + [0, 0] for _ in range(2)]
+    )
+    return out
+
+
+def _linear_algebra_cases(cases):
+    for label, m in _rref_matrices().items():
+        cases["mat-rref/%s" % label] = lambda m=m: (
+            lambda red, pivots: {"pivots": pivots, "rref": _plain(red.entries)}
+        )(*mat_rref(m))
+        cases["mat-kernel/%s" % label] = lambda m=m: [_plain(v.col(0)) for v in mat_kernel(m)]
+
+
+# ------------------------------------------------- recseq: rational fills
+
+SEQ_GEN_H = {
+    "delannoy": BiPoly(1, 1, {(1, 0): 1, (0, 1): 1, (1, 1): 1}),
+    "rational-2-1": ORACLE_H,
+    "rational-1-2": BiPoly(1, 2, {(0, 1): Fraction(3, 4), (1, 2): Fraction(-5, 2), (0, 2): 7}),
+    "rational-0-2": BiPoly(0, 2, {(0, 1): Fraction(-1, 3), (0, 2): Fraction(2, 5)}),
+    "rational-2-0": BiPoly(2, 0, {(1, 0): Fraction(9, 7), (2, 0): -1}),
+}
+
+
+def _rational_boundary(rng, h, M, N):
+    return {
+        (m, n): Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 5, 9)))
+        for m in range(M + 1)
+        for n in range(N + 1)
+        if m < h.r or n < h.s
+    }
+
+
+def _boundary_doc(boundary, M, N):
+    return {
+        "kind": "bisequence",
+        "M": M,
+        "N": N,
+        "entries": [[rat_str(boundary[(m, n)]) if (m, n) in boundary else None
+                     for n in range(N + 1)] for m in range(M + 1)],
+    }
+
+
+def _seq_gen_cases(cases):
+    rng = random.Random("seq-gen/rational")
+    M, N = 6, 5
+    for name, h in SEQ_GEN_H.items():
+        boundary = _rational_boundary(rng, h, M, N)
+        for case in (1, 2, 3):
+            for q in QS + ("-1/2",):
+                cases["seq-gen/%s/case=%d/q=%s" % (name, case, q)] = (
+                    lambda h=h, case=case, q=q, boundary=boundary: _guarded(
+                        lambda: documents.bisequence_doc(
+                            generate_sequence(h, case, q, boundary, M, N)
+                        )
+                    )
+                )
+    h = SEQ_GEN_H["rational-1-2"]
+    boundary = _rational_boundary(rng, h, M, N)
+    for case in (1, 2, 3):
+        for q in QS:
+            cases["cli/seq-gen/case=%d/q=%s/rational" % (case, q)] = (
+                lambda case=case, q=q: _cli_documents(
+                    {"h.json": documents.bipoly_doc(h), "b.json": _boundary_doc(boundary, M, N)},
+                    "seq-gen", "--h", "h.json", "--case", str(case), "--q=" + q,
+                    "--boundary", "b.json", "--M", str(M), "--N", str(N),
+                )
+            )
+    interior = {**boundary, (h.r, h.s): 1}
+    missing = {key: v for key, v in boundary.items() if key != (0, N)}
+    outside = {**boundary, (M + 1, 0): 1}
+    for label, thunk in (
+        ("q=0", lambda: generate_sequence(h, 1, 0, boundary, M, N)),
+        ("case=4", lambda: generate_sequence(h, 4, 1, boundary, M, N)),
+        ("case=4/missing-later-cell", lambda: generate_sequence(
+            h, 4, 1, {key: v for key, v in boundary.items() if key != (M, 0)}, M, N)),
+        ("case=4/no-terms", lambda: generate_sequence(BiPoly(1, 2, {}), 4, 1, boundary, M, N)),
+        ("short-table", lambda: generate_sequence(h, 2, 2, boundary, 0, N)),
+        ("interior-cell", lambda: generate_sequence(h, 2, 2, interior, M, N)),
+        ("missing-cell", lambda: generate_sequence(h, 3, 2, missing, M, N)),
+        ("outside-cell", lambda: generate_sequence(h, 3, 2, outside, M, N)),
+        ("bad-literal", lambda: generate_sequence(h, 1, "x", boundary, M, N)),
+        ("bad-boundary-literal", lambda: generate_sequence(
+            h, 1, 1, {**boundary, (0, 0): "1/0"}, M, N)),
+    ):
+        cases["seq-gen/error/%s" % label] = lambda thunk=thunk: _guarded_value(
+            lambda: _guarded(lambda: documents.bisequence_doc(thunk()))
+        )
+
+
+def _convolve_shape_cases(cases):
+    rng = random.Random("convolve/shapes")
+
+    def rational_table(M, N):
+        return BiSequence.from_function(
+            lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7))), M, N
+        )
+
+    for q in QS + ("-1/2",):
+        for M, N in ((0, 3), (4, 0), (1, 1), (6, 2), (2, 7)):
+            f, g = rational_table(M + N + 1, N), rational_table(M, N + 1)
+            cases["convolve/q=%s/rational/%dx%d" % (q, M, N)] = (
+                lambda f=f, g=g, q=q, M=M, N=N: documents.bisequence_doc(
+                    quantum_convolution(f, g, q, M, N)
+                )
+            )
+    f, narrow, g = rational_table(8, 4), rational_table(8, 2), rational_table(3, 3)
+    for label, thunk in (
+        ("q=0", lambda: quantum_convolution(f, g, 0, 3, 3)),
+        ("first-too-few-rows", lambda: quantum_convolution(f, g, 2, 5, 4)),
+        ("first-too-few-columns", lambda: quantum_convolution(narrow, g, 2, 3, 3)),
+        ("second-too-few-columns", lambda: quantum_convolution(f, g, 2, 3, 4)),
+        ("second-too-few-rows", lambda: quantum_convolution(f, g, 2, 4, 3)),
+        ("bad-literal", lambda: quantum_convolution(f, g, "1/0", 3, 3)),
+    ):
+        cases["convolve/error/%s" % label] = lambda thunk=thunk: _guarded(
+            lambda: documents.bisequence_doc(thunk())
+        )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -984,6 +1140,9 @@ def cases():
     _seq_oracle_cases(out)
     _rational_structure_cases(out)
     _yau_cases(out)
+    _linear_algebra_cases(out)
+    _seq_gen_cases(out)
+    _convolve_shape_cases(out)
     return out
 
 
