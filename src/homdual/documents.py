@@ -92,7 +92,8 @@ def _triples_to_constants(value, kind, field):
         i, j, vec = item
         _ints(where, i, j)
         try:
-            table[(i, j)] = [rat(v) for v in vec]
+            # the literal "0", most of a dense vector, is dropped before coercion
+            table[(i, j)] = {k: rat(v) for k, v in enumerate(vec) if v != "0"}
         except (InputError, TypeError):
             raise InputError(
                 "%s document: field '%s' entry (%s, %s) has a bad coefficient vector"

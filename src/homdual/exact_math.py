@@ -1,6 +1,11 @@
-"""Exact rational scalars and dense rational linear algebra (RREF, kernel)."""
+"""Exact rational scalars and dense rational linear algebra (RREF, kernel).
+
+Matrices hold Fractions; mat_rref eliminates on integers (fraction-free
+Gauss-Jordan), so a Fraction is made once per returned entry.
+"""
 
 import decimal
+import math
 import re
 import sys
 from fractions import Fraction
@@ -22,30 +27,32 @@ def rat(value):
     Floats are rejected: every scalar in this library is exact.  So are
     booleans, although Python counts them as ints.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        if value == "0":
-            return _ZERO
-        text = value.strip()
-        if not _RAT_RE.match(text):
-            raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))
-        num, _, den = text.partition("/")
-        try:
-            if not den:
-                return Fraction(int(num))
-            num, den = int(num), int(den)
-        except ValueError:  # past the interpreter's int-from-str digit limit
-            raise InputError(
-                "rational literal of %d characters exceeds the %d-digit integer limit"
-                % (len(text), sys.get_int_max_str_digits())
-            )
-        if den == 0:
-            raise InputError("zero denominator in rational literal %r" % (value,))
-        return Fraction(num, den)
-    raise InputError("cannot coerce %r to a rational" % (value,))
+    # an exact str, the commonest argument, skips the ABC check a Fraction test costs it
+    if type(value) is not str:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return Fraction(value)
+        if not isinstance(value, str):
+            raise InputError("cannot coerce %r to a rational" % (value,))
+    if value == "0":
+        return _ZERO
+    text = value.strip()
+    if not _RAT_RE.match(text):
+        raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))
+    num, _, den = text.partition("/")
+    try:
+        if not den:
+            return Fraction(int(num))
+        num, den = int(num), int(den)
+    except ValueError:  # past the interpreter's int-from-str digit limit
+        raise InputError(
+            "rational literal of %d characters exceeds the %d-digit integer limit"
+            % (len(text), sys.get_int_max_str_digits())
+        )
+    if den == 0:
+        raise InputError("zero denominator in rational literal %r" % (value,))
+    return Fraction(num, den)
 
 
 def rat_str(value):
@@ -84,7 +91,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols=None):
-        rows = [tuple(rat(x) for x in row) for row in entries]
+        rows = [tuple([rat(x) for x in row]) for row in entries]
         if rows:
             width = len(rows[0])
             for row in rows:
@@ -153,11 +160,19 @@ def mat_rref(m):
     """Reduced row echelon form. Returns (rref matrix, strictly increasing pivot column list).
 
     Pivot choice is deterministic: the first row (top down) with a nonzero
-    entry in the current column.
+    entry in the current column.  Elimination is fraction-free Gauss-Jordan
+    (Bareiss 1968): each row is scaled to integers by its own denominator
+    lcm, which keeps the RREF, and every other row becomes
+    (p*row - f*pivot_row) / prev, p the new pivot and prev the one before,
+    an exact division since every entry is a minor of the scaled matrix.
+    Pivot rows are divided by their pivot only when the result is built.
     """
-    work = [list(row) for row in m.entries]
+    work = []
+    for row in m.entries:
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
     pivots = []
-    pivot_row = 0
+    pivot_row, prev = 0, 1
     for col in range(m.cols):
         if pivot_row >= m.rows:
             break
@@ -169,15 +184,20 @@ def mat_rref(m):
         if hit is None:
             continue
         work[pivot_row], work[hit] = work[hit], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        top = work[pivot_row]
+        p = top[col]
         for r in range(m.rows):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+            if r != pivot_row:
+                f = work[r][col]
+                work[r] = [(p * a - f * b) // prev for a, b in zip(work[r], top)]
         pivots.append(col)
-        pivot_row += 1
-    return Matrix(work, cols=m.cols), pivots
+        pivot_row, prev = pivot_row + 1, p
+    rows = [
+        [Fraction(a, row[col]) if a else _ZERO for a in row]
+        for row, col in zip(work, pivots)
+    ]
+    rows += [[_ZERO] * m.cols for _ in range(m.rows - len(pivots))]
+    return Matrix(rows, cols=m.cols), pivots
 
 
 def mat_kernel(m):

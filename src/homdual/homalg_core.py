@@ -126,7 +126,8 @@ def _norm_constants(data, left, right, out, what):
             _ints(what, i, j)
             vec = enumerate(vec)
         for k, val in vec:
-            val = rat(val)
+            if type(val) is not Fraction:  # a Fraction, as documents hand over, is kept
+                val = rat(val)
             if val == 0:
                 continue
             if not (0 <= i < left and 0 <= j < right and 0 <= k < out):
@@ -141,7 +142,8 @@ def _norm_split(data, src, d1, d2, what):
     for s, plane in _items(data, what):
         for (a, b), val in plane.items():
             _ints(what, s, a, b)
-            val = rat(val)
+            if type(val) is not Fraction:
+                val = rat(val)
             if val == 0:
                 continue
             if not (0 <= s < src and 0 <= a < d1 and 0 <= b < d2):

@@ -10,10 +10,11 @@ annihilation_residual is the oracle for both, and independent of the
 stencils: it applies the twisted product to bracketed monomials, one
 monomial of h at a time, so a residual is one fraction-free integer sum over
 the |h|+1 entries it reads, with powers of q and k from tables shared by all
-cells of a batch.  The exact searches cost O(len^2) per row
-(Berlekamp-Massey), one kernel of a cols+1-row prefix taken along
-antidiagonals plus O(rows*cols) substitution per bidegree, and one O(N^2)
-q-Pascal triangle per convolution.
+cells of a batch.  A cell of the plain fill and of the convolution is such a
+sum too, then one Fraction.  The exact searches cost O(len^2) per row
+(Berlekamp-Massey), one fraction-free kernel of a cols+1-row prefix taken
+along antidiagonals plus O(rows*cols) substitution per bidegree, and one
+O(N^2) q-Pascal triangle per convolution.
 """
 
 import math
@@ -142,15 +143,6 @@ def _stencil(m, n, mapping):
     return RecursionStencil(m, n, pairs)
 
 
-def _case_weight(case, q, i, j, m, n, r, s):
-    case = CaseId(case)
-    if case is CaseId.MIDDLE:
-        return Fraction(1)
-    if case is CaseId.RIGHT:
-        return q ** (-i * (n - s))
-    return q ** (-j * (m - r))
-
-
 def _boundary_value(boundary, m, n):
     if isinstance(boundary, dict):
         if (m, n) not in boundary:
@@ -181,7 +173,10 @@ def generate_sequence(h, case, q, boundary, M, N):
 
     The recursion weight on h_{i,j} is 1 for the middle bracketing,
     q^(-i(n-s)) for the right one, q^(-j(m-r)) for the left one.  The
-    boundary must supply every cell with m < r or n < s.
+    boundary must supply every cell with m < r or n < s.  As in _residuals,
+    a cell is one integer sum over the common denominator of h, of the
+    weights and of the entries it reads, then one Fraction; the powers of
+    the numerator and denominator of q come from tables shared by all cells.
     """
     q = rat(q)
     if q == 0:
@@ -189,17 +184,30 @@ def generate_sequence(h, case, q, boundary, M, N):
     if M < h.r or N < h.s:
         raise InputError("table bounds must reach the leading bidegree")
     _check_boundary_keys(boundary, h.r, h.s, M, N)
+    r, s = h.r, h.s
+    hscale = math.lcm(*(v.denominator for v in h.coeffs.values()))
+    terms = [(i, j, v.numerator * (hscale // v.denominator)) for (i, j), v in h.coeffs.items()]
+    qn, qd = (_Memo(lambda e, base=base: base ** e) for base in (q.numerator, q.denominator))
+    kind = None
     grid = [[None] * (N + 1) for _ in range(M + 1)]
     for m in range(M + 1):
         for n in range(N + 1):
-            if m < h.r or n < h.s:
+            if m < r or n < s:
                 grid[m][n] = _boundary_value(boundary, m, n)
-            else:
-                total = Fraction(0)
-                for (i, j), val in h.coeffs.items():
-                    weight = _case_weight(case, q, i, j, m, n, h.r, h.s)
-                    total += weight * val * grid[m - i][n - j]
-                grid[m][n] = total
+                continue
+            if kind is None:  # the case is read at the first interior cell, if h has terms
+                kind = CaseId(case) if terms else CaseId.MIDDLE
+            # h_{i,j} weighs q^-(i*a + j*b)
+            a = n - s if kind is CaseId.RIGHT else 0
+            b = m - r if kind is CaseId.LEFT else 0
+            exps = [i * a + j * b for i, j, _ in terms]
+            top = max(exps, default=0)
+            entries = [grid[m - i][n - j] for i, j, _ in terms]
+            scale = math.lcm(*(v.denominator for v in entries))
+            total = 0
+            for (_, _, c), e, v in zip(terms, exps, _integral(entries, scale)):
+                total += c * v * qd[e] * qn[top - e]
+            grid[m][n] = Fraction(total, hscale * scale * qn[top])
     return BiSequence(M, N, grid)
 
 
@@ -345,15 +353,24 @@ def quantum_convolution(f, g, q, M, N):
         raise InputError("first table must extend to (M+N, N) = (%d, %d)" % (M + N, N))
     if g.M < M or g.N < N:
         raise InputError("second table must extend to (M, N) = (%d, %d)" % (M, N))
-    binom = _qpascal(N, q)
+    # each cell is one integer sum over the denominators of its binomial row and entries
+    binom = []
+    for coeffs in _qpascal(N, q):
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        binom.append((_integral(coeffs, scale), scale))
     grid = []
     for m in range(M + 1):
         row = []
         for n in range(N + 1):
-            total = Fraction(0)
-            for t in range(n + 1):
-                total += binom[n][t] * f.grid[m + t][n - t] * g.grid[m][t]
-            row.append(total)
+            coeffs, bscale = binom[n]
+            fs = [f.grid[m + t][n - t] for t in range(n + 1)]
+            gs = g.grid[m][: n + 1]
+            fscale = math.lcm(*(v.denominator for v in fs))
+            gscale = math.lcm(*(v.denominator for v in gs))
+            total = 0
+            for c, a, b in zip(coeffs, _integral(fs, fscale), _integral(gs, gscale)):
+                total += c * a * b
+            row.append(Fraction(total, bscale * fscale * gscale))
         grid.append(row)
     return BiSequence(M, N, grid)
 

@@ -198,6 +198,13 @@ def _tensor_weights(params):
     return lambda u, v: word_twist[u] * word_twist[v]
 
 
+def _tensor_pairs(words, params):
+    """Pairs of words of total length <= n: as _words runs by length, v ranges over a prefix."""
+    n = params["n"]
+    within = {len(w): end for end, w in enumerate(words, 1)}  # length -> words up to it
+    return ((u, v) for u in words if len(u) <= n for v in words[: within[n - len(u)]])
+
+
 def make_qplane_quotient(R, S, q, k):
     """Truncated twisted quantum plane: monomials x^a y^b with a <= R, b <= S.
 
@@ -241,9 +248,7 @@ FAMILIES = {
         times=operator.add,
         weights=_tensor_weights,
         build=lambda p: make_tensor_quotient(p["alphabet"], p["n"], p["twists"]),
-        pairs=lambda words, p: (
-            (u, v) for u in words for v in words if len(u) + len(v) <= p["n"]
-        ),
+        pairs=_tensor_pairs,
     ),
     "qplane": MonomialFamily(
         fields=(("R", "int>=0"), ("S", "int>=0"), ("q", "rational"), ("k", "rational")),

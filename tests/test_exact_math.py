@@ -25,7 +25,8 @@ def test_rat_rejects_floats_and_garbage():
 
 
 def _rat_before_the_zero_literal(value):
-    """rat as it was before "0" skipped the regex: the reference for every literal."""
+    """rat as it was before "0" skipped the regex and an exact str skipped the Fraction
+    test: the reference for every literal."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
@@ -61,6 +62,15 @@ def _outcome(parse, value):
 def test_rat_zero_literal_keeps_the_old_rules():
     zeros = ["0", " 0 ", "-0", "00", "0/5", "0/0", "0.0", "", "0 /5", "+0", 0, False, Fraction(0)]
     zeros += ["1", "-3/6", "1/0", "x", 1.5, None]
+    # an exact str is tested first; subclasses, other types and every error keep their path
+    class Text(str):
+        pass
+
+    class Ratio(Fraction):
+        pass
+
+    zeros += ["+1", "1_0", " 7 ", "5\n", "\u0663", Text("0"), Text("-4/6"), Text("y"),
+              Ratio(3, 4), True, 1.0, "9" * 5000, "1/" + "9" * 5000]
     for value in zeros:
         assert _outcome(rat, value) == _outcome(_rat_before_the_zero_literal, value), value
     assert rat("0") is rat("0")  # one shared zero
@@ -175,3 +185,75 @@ def test_rank_nullity_and_exact_kernel():
         for v in basis:
             x = v.col(0)
             assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in m.entries)
+
+
+def _fraction_gauss_jordan(m):
+    """Gauss-Jordan on Fractions, pivot = first nonzero row from the top: the reference RREF."""
+    work = [list(row) for row in m.entries]
+    pivots, pivot_row = [], 0
+    for col in range(m.cols):
+        if pivot_row >= m.rows:
+            break
+        hit = next((r for r in range(pivot_row, m.rows) if work[r][col] != 0), None)
+        if hit is None:
+            continue
+        work[pivot_row], work[hit] = work[hit], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(m.rows):
+            if r != pivot_row and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+    kernel = []
+    for j in range(m.cols):
+        if j not in pivots:
+            vec = [Fraction(0)] * m.cols
+            vec[j] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                vec[pc] = -work[r][j]
+            kernel.append(vec)
+    return work, pivots, kernel
+
+
+def _differential_matrices():
+    """Seeded rational matrices up to 8x8: products of lower rank, zero rows and
+    columns, entries up to 2^200."""
+    rng = random.Random(20261018)
+    for trial in range(400):
+        rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+        bound = (3, 40, 1 << 64, 1 << 200)[trial % 4]
+
+        def entry():
+            if rng.random() < 0.3:
+                return Fraction(0)
+            return Fraction(rng.randint(-bound, bound), rng.randint(1, rng.choice((1, 7, bound))))
+
+        rank = rng.randint(0, min(rows, cols))
+        if trial % 2 and rank:
+            left = [[entry() for _ in range(rank)] for _ in range(rows)]
+            right = [[entry() for _ in range(cols)] for _ in range(rank)]
+            grid = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)]
+                    for row in left]
+        else:
+            grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if rows and cols and trial % 3 == 0:
+            grid[rng.randrange(rows)] = [Fraction(0)] * cols
+            zero_col = rng.randrange(cols)
+            for row in grid:
+                row[zero_col] = Fraction(0)
+        yield Matrix(grid, cols=cols)
+
+
+def test_rref_and_kernel_match_fraction_gauss_jordan():
+    deficient = 0
+    for m in _differential_matrices():
+        want_rows, want_pivots, want_kernel = _fraction_gauss_jordan(m)
+        red, pivots = mat_rref(m)
+        assert pivots == want_pivots
+        assert [list(row) for row in red.entries] == want_rows
+        assert all(type(x) is Fraction for row in red.entries for x in row)
+        assert [vec.col(0) for vec in mat_kernel(m)] == want_kernel
+        deficient += len(pivots) < min(m.rows, m.cols)
+    assert deficient > 100

@@ -8,8 +8,8 @@ import pytest
 
 from homdual import recseq
 from homdual.errors import InputError
-from homdual.exact_math import Matrix, mat_kernel
-from homdual.qplane import QParams, eval_functional, qbinom, quantum_binomial_expand
+from homdual.exact_math import Matrix, mat_kernel, rat
+from homdual.qplane import QParams, _qpascal, eval_functional, qbinom, quantum_binomial_expand
 from homdual.recseq import (
     BiPoly,
     BiSequence,
@@ -111,6 +111,74 @@ def test_boundary_shapes():
     bd_table = BiSequence.constant(1, 2, 2)
     t2 = generate_sequence(DELANNOY_H, 1, 1, bd_table, 2, 2)
     assert t2.entry(2, 2) == 13
+
+
+def reference_generate_sequence(h, case, q, boundary, M, N):
+    """The plain fill summed on Fractions, a q ** -e per term per cell: the reference."""
+    q = rat(q)
+    if q == 0:
+        raise InputError("q must be nonzero")
+    if M < h.r or N < h.s:
+        raise InputError("table bounds must reach the leading bidegree")
+    recseq._check_boundary_keys(boundary, h.r, h.s, M, N)
+    grid = [[None] * (N + 1) for _ in range(M + 1)]
+    for m in range(M + 1):
+        for n in range(N + 1):
+            if m < h.r or n < h.s:
+                grid[m][n] = recseq._boundary_value(boundary, m, n)
+                continue
+            total = Fraction(0)
+            for (i, j), val in h.coeffs.items():
+                e = {CaseId.MIDDLE: 0, CaseId.RIGHT: i * (n - h.s), CaseId.LEFT: j * (m - h.r)}
+                total += q ** -e[CaseId(case)] * val * grid[m - i][n - j]
+            grid[m][n] = total
+    return BiSequence(M, N, grid)
+
+
+FILL_QS = (1, -1, 2, Fraction(5, 3), Fraction(-1, 2))
+
+
+def fill_inputs():
+    """Seeded (h, rational boundary, M, N); the last h has no terms, so its case is never read."""
+    rng = random.Random(20261021)
+    values = (0, 0, 1, -2, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4), "3/9")
+    for r, s, density in ((0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 0.7), (1, 3, 0.7),
+                          (3, 2, 0.7), (2, 2, 0.5), (2, 2, 0)):
+        coeffs = {(i, j): rng.choice(values[2:]) for i in range(r + 1) for j in range(s + 1)
+                  if (i, j) != (0, 0) and rng.random() < density}
+        M, N = r + rng.randint(0, 4), s + rng.randint(0, 4)
+        boundary = {key: rng.choice(values) for key in ones_boundary(r, s, M, N)}
+        yield BiPoly(r, s, coeffs), boundary, M, N
+
+
+def test_generate_sequence_matches_fraction_fill():
+    compared = 0
+    for h, boundary, M, N in fill_inputs():
+        for case in (1, 2, 3):
+            for q in FILL_QS:
+                want = reference_generate_sequence(h, case, q, boundary, M, N)
+                got = generate_sequence(h, case, q, boundary, M, N)
+                assert got == want
+                assert all(type(v) is Fraction for row in got.grid for v in row)
+                compared += 1
+        # every refusal keeps its type, message and order
+        last = (M, 0) if h.s else (h.r - 1, N)
+        variants = [(case, q, boundary, M, N) for case in (0, 4, "1", CaseId.LEFT, True)
+                    for q in (0, "x", 2)]
+        variants += [
+            (2, 2, {**boundary, (h.r, h.s): 1}, M, N),
+            (3, 2, {key: v for key, v in boundary.items() if key != last}, M, N),
+            (4, 2, {key: v for key, v in boundary.items() if key != last}, M, N),
+            (1, 2, {**boundary, (M + 1, 0): 1}, M, N),
+            (1, 2, {**boundary, last: "1/0"}, M, N),
+            (4, 2, {**boundary, last: "x"}, M, N),
+            (2, Fraction(5, 3), boundary, h.r - 1, N),
+        ]
+        for case, q, cells, rows, cols in variants:
+            assert outcome(lambda: generate_sequence(h, case, q, cells, rows, cols)) == outcome(
+                lambda: reference_generate_sequence(h, case, q, cells, rows, cols)
+            )
+    assert compared == 8 * 3 * len(FILL_QS)
 
 
 # ------------------------------------------------------------------ oracle
@@ -355,6 +423,40 @@ def test_convolution_shape_errors():
         quantum_convolution(BiSequence.constant(1, 6, 3), BiSequence.constant(1, 2, 3), 1, 3, 3)
     with pytest.raises(InputError):
         quantum_convolution(BiSequence.constant(1, 6, 3), BiSequence.constant(1, 3, 3), 0, 3, 3)
+
+
+def reference_convolution(f, g, q, M, N):
+    """The convolution summed on Fractions over the q-Pascal rows: the reference."""
+    q = rat(q)
+    if q == 0:
+        raise InputError("q must be nonzero")
+    if f.M < M + N or f.N < N:
+        raise InputError("first table must extend to (M+N, N) = (%d, %d)" % (M + N, N))
+    if g.M < M or g.N < N:
+        raise InputError("second table must extend to (M, N) = (%d, %d)" % (M, N))
+    binom = _qpascal(N, q)
+    grid = [[sum((binom[n][t] * f.grid[m + t][n - t] * g.grid[m][t] for t in range(n + 1)),
+                 Fraction(0)) for n in range(N + 1)] for m in range(M + 1)]
+    return BiSequence(M, N, grid)
+
+
+def test_convolution_matches_fraction_sum():
+    rng = random.Random(20261022)
+    values = (0, 0, 1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4), Fraction(2, 9))
+
+    def table(M, N):
+        return BiSequence.from_function(lambda m, n: rng.choice(values), M, N)
+
+    for M, N in ((0, 0), (0, 4), (3, 0), (2, 2), (5, 3), (3, 6)):
+        f, g = table(M + N + rng.randint(0, 1), N), table(M, N + rng.randint(0, 1))
+        for q in FILL_QS:
+            got = quantum_convolution(f, g, q, M, N)
+            assert got == reference_convolution(f, g, q, M, N)
+            assert all(type(v) is Fraction for row in got.grid for v in row)
+        for q, rows, cols in ((0, M, N), ("1/0", M, N), (2, M + 1, N), (2, M, N + 2), (0, M + 9, N)):
+            assert outcome(lambda: quantum_convolution(f, g, q, rows, cols)) == outcome(
+                lambda: reference_convolution(f, g, q, rows, cols)
+            )
 
 
 # ---------------------------------------------------------------- minpoly

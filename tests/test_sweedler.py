@@ -420,6 +420,9 @@ def test_ambient_products_match_the_family_formulas():
         pairs = list(_ambient_pairs(quotient, 1))
         assert pairs and all(big.project_index(key) is not None for pair in pairs for key in pair)
         assert len(pairs) > quotient.dim ** 2
+        if quotient.family == "tensor":  # the prefix walk keeps the filter's pairs and order
+            assert pairs == [(u, v) for u in big.keys for v in big.keys
+                             if len(u) + len(v) <= wide["n"]]
         for table in (quotient, big):
             for u in table.keys:
                 for v in table.keys:
