@@ -89,7 +89,7 @@ class BiSequence:
         for m, row in enumerate(grid):
             if len(row) != N + 1:
                 raise InputError("table row %d must have N+1 entries" % m)
-            rows.append(tuple(rat(v) for v in row))
+            rows.append(tuple([rat(v) for v in row]))
         self.M = M
         self.N = N
         self.grid = tuple(rows)

@@ -202,7 +202,7 @@ def _tensor_pairs(words, params):
     """Pairs of words of total length <= n: as _words runs by length, v ranges over a prefix."""
     n = params["n"]
     within = {len(w): end for end, w in enumerate(words, 1)}  # length -> words up to it
-    return ((u, v) for u in words if len(u) <= n for v in words[: within[n - len(u)]])
+    return ((u, v) for u in words for v in words[: within[n - len(u)]])
 
 
 def make_qplane_quotient(R, S, q, k):

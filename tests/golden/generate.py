@@ -1009,11 +1009,14 @@ def _rref_matrices():
     return out
 
 
+def _rref(m):
+    red, pivots = mat_rref(m)
+    return {"pivots": pivots, "rref": _plain(red.entries)}
+
+
 def _linear_algebra_cases(cases):
     for label, m in _rref_matrices().items():
-        cases["mat-rref/%s" % label] = lambda m=m: (
-            lambda red, pivots: {"pivots": pivots, "rref": _plain(red.entries)}
-        )(*mat_rref(m))
+        cases["mat-rref/%s" % label] = lambda m=m: _rref(m)
         cases["mat-kernel/%s" % label] = lambda m=m: [_plain(v.col(0)) for v in mat_kernel(m)]
 
 
@@ -1090,7 +1093,7 @@ def _seq_gen_cases(cases):
             h, 1, 1, {**boundary, (0, 0): "1/0"}, M, N)),
     ):
         cases["seq-gen/error/%s" % label] = lambda thunk=thunk: _guarded_value(
-            lambda: _guarded(lambda: documents.bisequence_doc(thunk()))
+            lambda: documents.bisequence_doc(thunk())
         )
 
 
