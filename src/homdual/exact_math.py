@@ -1,7 +1,6 @@
 """Exact rational scalars and dense rational linear algebra (RREF, kernel).
 
-Matrices hold Fractions; mat_rref eliminates on integers (fraction-free
-Gauss-Jordan), so a Fraction is made once per returned entry.
+Matrices hold Fractions; mat_rref eliminates fraction-free, on integers.
 """
 
 import decimal
