@@ -49,7 +49,15 @@ from homdual.homalg_core import (
     verify_hom_module,
     yau_twist,
 )
-from homdual.qplane import qbinom
+from homdual.qplane import (
+    QParams,
+    QPoly,
+    classical_product,
+    hom_power_left,
+    hom_product,
+    qbinom,
+    twist,
+)
 from homdual.recseq import (
     BiPoly,
     BiSequence,
@@ -1127,6 +1135,104 @@ def _convolve_shape_cases(cases):
         )
 
 
+# ------------------------------------------------------------- quantum plane
+
+EXPAND_QK = (("1", "1"), ("-1", "2"), ("7/5", "-2/3"), ("-3/2", "1/2"), ("5/3", "3/2"))
+EXPAND_N = (0, 1, 2, 5, 13, 24)
+
+
+def _qpoly(p):
+    return [[m, n, rat_str(c)] for (m, n), c in sorted(p.terms.items())]
+
+
+def _random_qpoly(rng, params, degree):
+    """Up to eight terms of degree <= degree; denominators from coprime choices."""
+    return QPoly(params, {
+        (rng.randint(0, degree), rng.randint(0, degree)):
+            Fraction(rng.choice((-7, -3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3, 5, 7)))
+        for _ in range(rng.randint(1, 8))
+    })
+
+
+def _product_cases(cases, prefix, p1, p2):
+    cases[prefix + "/classical"] = lambda: _guarded(lambda: _qpoly(classical_product(p1, p2)))
+    cases[prefix + "/hom"] = lambda: _guarded(lambda: _qpoly(hom_product(p1, p2)))
+
+
+def _quantum_plane_cases(cases):
+    """CLI expansions at rational (q, k), library products and powers, more q-Pascal tables."""
+    for q, k in EXPAND_QK:
+        flags = ("--q=" + q, "--k=" + k)
+        for n in EXPAND_N:
+            letters = random.Random("normal-order/%d" % n)
+            word = "".join(letters.choice("xy") for _ in range(n))
+            cases["cli/expand/hom-power/q=%s/k=%s/n=%d" % (q, k, n)] = (
+                lambda n=n, flags=flags: _cli("expand", "--op", "hom-power", "--n", str(n), *flags)
+            )
+            cases["cli/expand/normal-order/q=%s/k=%s/n=%d" % (q, k, n)] = (
+                lambda word=word, flags=flags: _cli(
+                    "expand", "--op", "normal-order", "--word", word, *flags
+                )
+            )
+        for n in range(41):
+            name = "cli/expand/qbinom-formula/q=%s/k=%s/n=%d" % (q, k, n)
+            if name not in cases:
+                cases[name] = lambda n=n, flags=flags: _cli(
+                    "expand", "--op", "qbinom-formula", "--n", str(n), *flags
+                )
+        params = QParams(q, k)
+        rng = random.Random("qplane/%s/%s" % (q, k))
+        prefix = "qplane/q=%s/k=%s" % (q, k)
+        for n in range(6):
+            p1 = _random_qpoly(rng, params, rng.choice((1, 3, 6)))
+            p2 = _random_qpoly(rng, params, rng.choice((1, 3, 6)))
+            _product_cases(cases, "%s/pair-%d" % (prefix, n), p1, p2)
+            cases["%s/pair-%d/twist" % (prefix, n)] = lambda p1=p1: _qpoly(twist(p1))
+            cases["%s/pair-%d/powers" % (prefix, n)] = lambda p1=p1: [
+                _qpoly(hom_power_left(p1, e)) for e in (0, 1, 2, 3, 5)
+            ]
+        # x + y times x - q y: the xy terms cancel, in both products
+        xy = QPoly(params, {(1, 0): 1, (0, 1): 1})
+        _product_cases(cases, prefix + "/cancel-xy", xy,
+                       QPoly(params, {(1, 0): 1, (0, 1): -params.q}))
+        zero = QPoly.zero(params)
+        _product_cases(cases, prefix + "/zero-left", zero, xy)
+        _product_cases(cases, prefix + "/zero-right", xy, zero)
+        _product_cases(cases, prefix + "/zero-both", zero, zero)
+        cases[prefix + "/zero/twist"] = lambda zero=zero: _qpoly(twist(zero))
+        cases[prefix + "/zero/powers"] = lambda zero=zero: [
+            _qpoly(hom_power_left(zero, e)) for e in (0, 1, 3)
+        ]
+        cases[prefix + "/power-negative"] = lambda xy=xy: _guarded(
+            lambda: _qpoly(hom_power_left(xy, -1))
+        )
+    x = QPoly.monomial(QParams(2, 1), 1, 0)
+    _product_cases(cases, "qplane/error/k-mismatch", x, QPoly.monomial(QParams(2, 3), 0, 1))
+    _product_cases(cases, "qplane/error/q-mismatch", x, QPoly.monomial(QParams(3, 1), 0, 1))
+    for q in ("7/5", "-2/3"):
+        cases["qbinom/q=%s" % q] = lambda q=q: [
+            [rat_str(qbinom(n, i, q)) for i in range(n + 1)] for n in range(25)
+        ]
+    rng = random.Random("convolve/rational-q")
+    for q in ("7/5", "-2/3"):
+        for M, N in ((0, 0), (0, 3), (4, 0), (1, 1), (6, 2), (2, 7), (5, 8)):
+            f = BiSequence.from_function(
+                lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))), M + N, N
+            )
+            g = _random_table(rng, M, N)
+            cases["convolve/q=%s/rational/%dx%d" % (q, M, N)] = (
+                lambda f=f, g=g, q=q, M=M, N=N: documents.bisequence_doc(
+                    quantum_convolution(f, g, q, M, N)
+                )
+            )
+            cases["cli/convolve/q=%s/%dx%d" % (q, M, N)] = (
+                lambda f=f, g=g, q=q, M=M, N=N: _cli_tables(
+                    {"f.json": f, "g.json": g}, "convolve", "--f", "f.json",
+                    "--g", "g.json", "--q=" + q, "--M", str(M), "--N", str(N),
+                )
+            )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -1146,6 +1252,7 @@ def cases():
     _linear_algebra_cases(out)
     _seq_gen_cases(out)
     _convolve_shape_cases(out)
+    _quantum_plane_cases(out)
     return out
 
 
