@@ -3,8 +3,9 @@
 Reads JSON structure documents, dispatches to the library, and prints one
 canonical JSON report per invocation (sorted keys, exact "p/q" scalars).
 Exit codes: 0 result or verification pass, 1 verification failure, 2 bad
-input or schema.  The argument parser is built once per process, by the
-first dispatch.
+input or schema, 3 internal error (an unexpected exception in a command,
+reported as one JSON document with status "internal-error").  The argument
+parser is built once per process, by the first dispatch.
 """
 
 import argparse
@@ -409,6 +410,13 @@ def dispatch(argv):
         sys.stderr.write("error: %s\n" % exc)
         _emit({"command": list(argv), "status": "error", "error": str(exc)})
         return 2
+    except Exception as exc:  # a fault of the program, not of the input or the structure
+        import traceback  # imported on this path only, which keeps the CLI start small
+
+        traceback.print_exc(file=sys.stderr)
+        error = "%s: %s" % (type(exc).__name__, exc)
+        _emit({"command": list(argv), "status": "internal-error", "error": error})
+        return 3
 
 
 def main():

@@ -3,13 +3,23 @@
 Variables obey yx = qxy; every element is kept in normal form
 sum c_{m,n} x^m y^n.  The twist scales a monomial of total degree d by k^d,
 and the twisted product of p1 and p2 is twist(p1) twist(p2) under the
-classical quantum-plane product.  A product or twist computes each power
-q^e and k^d once per call, and builds its result without re-normalising
-coefficients that are already nonzero Fractions; at k = 1 the twist is the
-identity.  Gaussian binomials are read from one O(n^2) q-Pascal triangle
-per call.
+classical quantum-plane product; at k = 1 the twist is the identity.
+
+Both products are one fraction-free kernel (_product).  Each factor is
+scaled to integers by the lcm of its denominators, and a term of degree d
+also by kn^d kd^(E-d), for k = kn/kd and E the factor's top degree (k = 1
+for the classical product).  A pair of terms x^a y^b, x^c y^d reads q^(bc)
+as qn^(bc) qd^(G-bc), G the largest bc, from a table of powers.  So each
+output monomial is one integer sum over one common denominator, then one
+Fraction.
+
+Gaussian binomials come from one O(n^2) q-Pascal triangle per call, on
+integers: with q = a/b, B(m, i) = binom(m, i)_q b^(i(m-i)) is an integer,
+and B(m, i) = b^(m-i) B(m-1, i-1) + a^i B(m-1, i).  Only the row a caller
+returns becomes Fractions.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InputError
@@ -104,7 +114,7 @@ class QPoly:
 
 
 def _same_params(p1, p2):
-    if p1.params != p2.params:
+    if p1.params is not p2.params and p1.params != p2.params:
         raise InputError("parameter mismatch: %r vs %r" % (p1.params, p2.params))
 
 
@@ -161,25 +171,50 @@ def _normal(params, terms):
     return p
 
 
+def _integer_terms(p, k):
+    """p over one denominator, each term of degree d times k^d: ([(a, b, int)], denominator).
+
+    With k = kn/kd and E the top degree of p, k^d = kn^d kd^(E-d) / kd^E.
+    """
+    top = max(a + b for a, b in p.terms)
+    scale = math.lcm(*(c.denominator for c in p.terms.values()))
+    kn, kd = k.numerator, k.denominator
+    terms = [
+        (a, b, c.numerator * (scale // c.denominator) * kn ** (a + b) * kd ** (top - a - b))
+        for (a, b), c in p.terms.items()
+    ]
+    return terms, scale * kd ** top
+
+
+def _product(p1, p2, k):
+    """Classical product of the factors each twisted by k (k = 1: no twist), on integers.
+
+    The factors come over one denominator each (_integer_terms), and a pair of
+    terms carries q^(bc) = qn^(bc) qd^(G-bc) / qd^G, G the largest bc, with
+    the powers from a table, so every output monomial is one integer sum,
+    then one Fraction.
+    """
+    _same_params(p1, p2)
+    params = p1.params
+    if not p1.terms or not p2.terms:
+        return _normal(params, {})
+    t1, den1 = _integer_terms(p1, k)
+    t2, den2 = _integer_terms(p2, k)
+    qn, qd = params.q.numerator, params.q.denominator
+    top = max(b for _, b in p1.terms) * max(c for c, _ in p2.terms)
+    qpow = _Memo(lambda g: qn ** g * qd ** (top - g))
+    sums = {}
+    for a, b, c1 in t1:
+        for c, d, c2 in t2:
+            key = (a + c, b + d)
+            sums[key] = sums.get(key, 0) + c1 * c2 * qpow[b * c]
+    den = den1 * den2 * qd ** top
+    return _normal(params, {key: Fraction(v, den) for key, v in sums.items() if v})
+
+
 def classical_product(p1, p2):
     """Bilinear extension of (x^a y^b)(x^c y^d) = q^(bc) x^(a+c) y^(b+d)."""
-    _same_params(p1, p2)
-    q = p1.params.q
-    qpow = None if q == 1 else _Memo(lambda e: q ** e)
-    terms = {}
-    for (a, b), c1 in p1.terms.items():
-        for (c, d), c2 in p2.terms.items():
-            key = (a + c, b + d)
-            add = c1 * c2
-            if qpow is not None and b and c:
-                add *= qpow[b * c]
-            old = terms.get(key)
-            new = add if old is None else old + add
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-    return _normal(p1.params, terms)
+    return _product(p1, p2, Fraction(1))
 
 
 def twist(p):
@@ -193,7 +228,7 @@ def twist(p):
 
 def hom_product(p1, p2):
     """Twisted product: classical product of the twists of both factors."""
-    return classical_product(twist(p1), twist(p2))
+    return _product(p1, p2, p1.params.k)
 
 
 def hom_power_left(p, n):
@@ -209,13 +244,18 @@ def hom_power_left(p, n):
 
 
 def _qpascal(n, q):
-    """Rows 0..n of the q-Pascal triangle: O(n^2) additions, q^j computed once."""
-    powers = [q ** j for j in range(n + 1)]
-    rows = [[Fraction(1)]]
-    for size in range(1, n + 1):
+    """Rows 0..n of the integer q-Pascal triangle B(m, i) = binom(m, i)_q b^(i(m-i)), q = a/b.
+
+    B(m, i) = b^(m-i) B(m-1, i-1) + a^i B(m-1, i), with the borders equal
+    to 1: O(n^2) integer operations, a^i and b^i computed once.
+    """
+    apow = [q.numerator ** i for i in range(n + 1)]
+    bpow = [q.denominator ** i for i in range(n + 1)]
+    rows = [[1]]
+    for m in range(1, n + 1):
         prev = rows[-1]
-        middle = [prev[j - 1] + powers[j] * prev[j] for j in range(1, size)]
-        rows.append([Fraction(1)] + middle + [Fraction(1)])
+        middle = [bpow[m - i] * prev[i - 1] + apow[i] * prev[i] for i in range(1, m)]
+        rows.append([1] + middle + [1])
     return rows
 
 
@@ -231,7 +271,7 @@ def qbinom(n, i, q):
         raise InputError("q must be nonzero")
     if i < 0 or n < 0 or i > n:
         raise InputError("need 0 <= i <= n, got (%s, %s)" % (n, i))
-    return _qpascal(n, q)[n][i]
+    return Fraction(_qpascal(n, q)[n][i], q.denominator ** (i * (n - i)))
 
 
 def quantum_binomial_expand(n, params):
@@ -244,10 +284,12 @@ def quantum_binomial_expand(n, params):
         raise InputError("power must be nonnegative")
     if n == 0:
         return QPoly.one(params)
-    kpow = params.k ** (((n - 1) * (n + 2)) // 2)
+    e = ((n - 1) * (n + 2)) // 2
+    kn, kd = params.k.numerator ** e, params.k.denominator ** e
+    b = params.q.denominator
     row = _qpascal(n, params.q)[n]
-    terms = {(i, n - i): row[i] * kpow for i in range(n + 1)}
-    return QPoly(params, terms)
+    terms = {(i, n - i): Fraction(c * kn, b ** (i * (n - i)) * kd) for i, c in enumerate(row) if c}
+    return _normal(params, terms)
 
 
 def eval_functional(table, p, params=None):

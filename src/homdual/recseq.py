@@ -353,11 +353,13 @@ def quantum_convolution(f, g, q, M, N):
         raise InputError("first table must extend to (M+N, N) = (%d, %d)" % (M + N, N))
     if g.M < M or g.N < N:
         raise InputError("second table must extend to (M, N) = (%d, %d)" % (M, N))
-    # each cell is one integer sum over the denominators of its binomial row and entries
+    # row n of the integer q-Pascal triangle over b^floor(n^2/4), q = a/b: each cell
+    # is one integer sum over the denominators of its binomial row and entries
+    b = q.denominator
     binom = []
-    for coeffs in _qpascal(N, q):
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        binom.append((_integral(coeffs, scale), scale))
+    for n, row in enumerate(_qpascal(N, q)):
+        top = n * n // 4
+        binom.append(([c * b ** (top - i * (n - i)) for i, c in enumerate(row)], b ** top))
     grid = []
     for m in range(M + 1):
         row = []

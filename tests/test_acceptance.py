@@ -6,6 +6,7 @@ checklist.  All arithmetic is exact; there are no tolerances anywhere.
 
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -426,10 +427,14 @@ def test_acceptance_11_cli_golden():
         ("expand", "--op", "qbinom-formula", "--n", "2", "--q", "2", "--k", "3"),
     ]
 
+    # the child imports homdual from this checkout's src/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+
     def run(call):
         return subprocess.run(
             [sys.executable, "-m", "homdual", *call],
-            cwd=ROOT, capture_output=True, text=True,
+            cwd=ROOT, env=env, capture_output=True, text=True,
         )
 
     reports = []

@@ -10,15 +10,23 @@ from pathlib import Path
 import pytest
 
 from homdual import cli
+from homdual.errors import InputError
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
 
 
+def child_env(**extra):
+    """The environment for a child `python -m homdual`: ROOT/src first on its path."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 def run(*args, cwd=ROOT):
     return subprocess.run(
         [sys.executable, "-m", "homdual", *args],
-        cwd=cwd, capture_output=True, text=True,
+        cwd=cwd, env=child_env(), capture_output=True, text=True,
     )
 
 
@@ -408,7 +416,7 @@ def test_dispatch_builds_the_parser_once(monkeypatch, capsys):
 def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
     # an argparse error, help, then a valid run: each as if first in the process
     calls = [ORACLE + ["--case", "7"], ["--help"], ORACLE + ["--case", "1"]]
-    env = dict(os.environ, COLUMNS="80")
+    env = child_env(COLUMNS="80")
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.setattr(cli, "_PARSER", None)
     codes = []
@@ -420,3 +428,25 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
         codes.append(code)
     assert codes == [2, 0, 0]
+
+
+def test_unexpected_exception_exits_3_with_one_document(monkeypatch, capsys):
+    def broken(args, argv):
+        raise ZeroDivisionError("boom")
+
+    def bad_input(args, argv):
+        raise InputError("field 'n' is bad")
+
+    argv = ["expand", "--op", "hom-power", "--n", "3", "--q", "2"]
+    monkeypatch.setattr(cli, "cmd_expand", broken)
+    monkeypatch.setattr(cli, "_PARSER", None)  # the next parser binds the patched handler
+    assert cli.dispatch(argv) == 3
+    out, err = capsys.readouterr()
+    want = {"command": argv, "status": "internal-error", "error": "ZeroDivisionError: boom"}
+    assert out == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    assert err.startswith("Traceback") and err.endswith("ZeroDivisionError: boom\n")
+    # an input error raised by a handler still exits 2
+    monkeypatch.setattr(cli, "cmd_expand", bad_input)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    assert cli.dispatch(argv) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "error"

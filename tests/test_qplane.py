@@ -10,6 +10,7 @@ from homdual.errors import InputError
 from homdual.qplane import (
     QParams,
     QPoly,
+    _qpascal,
     classical_product,
     eval_functional,
     format_qpoly,
@@ -210,11 +211,16 @@ def naive_power(p, n):
     return acc
 
 
-def random_poly(rng, params):
-    coeffs = (1, -1, 2, Fraction(1, 2), Fraction(-3, 5))
+SMALL_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 5))
+# pairwise coprime denominators, so a factor's lcm grows with every term
+COPRIME_COEFFS = (1, -2, Fraction(1, 3), Fraction(-5, 7), Fraction(4, 11), Fraction(-9, 13),
+                  Fraction(7, 17), Fraction(-1, 19))
+
+
+def random_poly(rng, params, degree=3, coeffs=SMALL_COEFFS, terms=6):
     return QPoly(params, {
-        (rng.randrange(4), rng.randrange(4)): rng.choice(coeffs)
-        for _ in range(rng.randrange(1, 6))
+        (rng.randrange(degree + 1), rng.randrange(degree + 1)): rng.choice(coeffs)
+        for _ in range(rng.randrange(1, terms))
     })
 
 
@@ -226,7 +232,8 @@ def assert_normal_form(p):
 
 def test_power_table_products_match_the_definitions():
     rng = random.Random(20240518)
-    values = (1, -1, 2, Fraction(-1, 2), Fraction(5, 3))
+    values = (1, -1, 2, Fraction(-1, 2), Fraction(5, 3), Fraction(7, 5), Fraction(-2, 3),
+              Fraction(-3, 2))
     cancelled = 0
     for q in values:
         for k in values:
@@ -250,6 +257,24 @@ def test_power_table_products_match_the_definitions():
                 assert got == naive_power(base, n)
                 assert_normal_form(got)
     assert cancelled > 0  # the sweep reaches sums that cancel to zero
+    # degree up to 12, coefficients over coprime denominators, the zero polynomial
+    rational = (Fraction(7, 5), Fraction(-2, 3), Fraction(-3, 2))
+    for q in rational:
+        for k in rational:
+            params = QParams(q, k)
+            zero = QPoly.zero(params)
+            for _ in range(4):
+                p1, p2 = (random_poly(rng, params, 12, COPRIME_COEFFS, 14) for _ in range(2))
+                for a, b in ((p1, p2), (p2, p1), (p1, zero), (zero, p2), (zero, zero)):
+                    for got, want in ((classical_product(a, b), naive_classical(a, b)),
+                                      (hom_product(a, b), naive_hom(a, b))):
+                        assert got == want
+                        assert_normal_form(got)
+                assert twist(p1) == naive_twist(p1)
+            base = random_poly(rng, params, 12, COPRIME_COEFFS, 8)
+            for n in range(4):
+                assert hom_power_left(base, n) == naive_power(base, n)
+                assert_normal_form(hom_power_left(base, n))
 
 
 def test_power_table_products_cancel_exactly():
@@ -268,3 +293,45 @@ def test_power_table_products_cancel_exactly():
 def test_twist_at_k_one_is_the_argument():
     p = QPoly(QParams(2, 1), {(1, 2): 3, (0, 0): -1})
     assert twist(p) is p
+
+
+# ------------------------------------------ integer q-Pascal rows against Fractions
+
+
+def fraction_pascal(n, q):
+    """Rows 0..n of binom(m, i)_q on Fractions, by the q-Pascal recurrence."""
+    rows = [[Fraction(1)]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([Fraction(1)] + [prev[i - 1] + q ** i * prev[i] for i in range(1, m)]
+                    + [Fraction(1)])
+    return rows
+
+
+def test_integer_qpascal_rows_match_the_fraction_recurrence():
+    for q in (Fraction(1), Fraction(-1), Fraction(2), Fraction(5, 3), Fraction(-1, 2),
+              Fraction(7, 5), Fraction(-2, 3)):
+        want = fraction_pascal(40, q)
+        got = _qpascal(40, q)
+        assert [len(row) for row in got] == list(range(1, 42))
+        for m, (row, ref) in enumerate(zip(got, want)):
+            # B(m, i) = binom(m, i)_q b^(i(m-i)) is an integer
+            assert all(type(c) is int for c in row)
+            assert row == [ref[i] * q.denominator ** (i * (m - i)) for i in range(m + 1)]
+        params = QParams(q, Fraction(-3, 2))
+        for n in (0, 1, 2, 7, 24, 40):
+            assert [qbinom(n, i, q) for i in range(n + 1)] == want[n]
+            assert all(type(qbinom(n, i, q)) is Fraction for i in range(n + 1))
+            expanded = quantum_binomial_expand(n, params)
+            kpow = params.k ** ((n - 1) * (n + 2) // 2) if n else 1
+            assert expanded.terms == {
+                (i, n - i): c * kpow for i, c in enumerate(want[n]) if c
+            }
+            assert_normal_form(expanded)
+        for n, i in ((3, 4), (3, -1), (-1, 0), (0, 1)):
+            with pytest.raises(InputError, match=r"need 0 <= i <= n, got \(%d, %d\)" % (n, i)):
+                qbinom(n, i, q)
+    with pytest.raises(InputError, match="q must be nonzero"):
+        qbinom(3, 4, 0)
+    with pytest.raises(InputError, match="zero denominator"):
+        qbinom(3, 1, "1/0")

@@ -9,7 +9,7 @@ import pytest
 from homdual import recseq
 from homdual.errors import InputError
 from homdual.exact_math import Matrix, mat_kernel, rat
-from homdual.qplane import QParams, _qpascal, eval_functional, qbinom, quantum_binomial_expand
+from homdual.qplane import QParams, eval_functional, qbinom, quantum_binomial_expand
 from homdual.recseq import (
     BiPoly,
     BiSequence,
@@ -426,7 +426,7 @@ def test_convolution_shape_errors():
 
 
 def reference_convolution(f, g, q, M, N):
-    """The convolution summed on Fractions over the q-Pascal rows: the reference."""
+    """The convolution summed on Fractions over reference_qbinom's binomials: the reference."""
     q = rat(q)
     if q == 0:
         raise InputError("q must be nonzero")
@@ -434,8 +434,8 @@ def reference_convolution(f, g, q, M, N):
         raise InputError("first table must extend to (M+N, N) = (%d, %d)" % (M + N, N))
     if g.M < M or g.N < N:
         raise InputError("second table must extend to (M, N) = (%d, %d)" % (M, N))
-    binom = _qpascal(N, q)
-    grid = [[sum((binom[n][t] * f.grid[m + t][n - t] * g.grid[m][t] for t in range(n + 1)),
+    binom = reference_qbinom(q)
+    grid = [[sum((binom(n, t) * f.grid[m + t][n - t] * g.grid[m][t] for t in range(n + 1)),
                  Fraction(0)) for n in range(N + 1)] for m in range(M + 1)]
     return BiSequence(M, N, grid)
 
