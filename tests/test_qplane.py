@@ -273,8 +273,9 @@ def test_power_table_products_match_the_definitions():
                 assert twist(p1) == naive_twist(p1)
             base = random_poly(rng, params, 12, COPRIME_COEFFS, 8)
             for n in range(4):
-                assert hom_power_left(base, n) == naive_power(base, n)
-                assert_normal_form(hom_power_left(base, n))
+                got = hom_power_left(base, n)
+                assert got == naive_power(base, n)
+                assert_normal_form(got)
 
 
 def test_power_table_products_cancel_exactly():
@@ -320,8 +321,9 @@ def test_integer_qpascal_rows_match_the_fraction_recurrence():
             assert row == [ref[i] * q.denominator ** (i * (m - i)) for i in range(m + 1)]
         params = QParams(q, Fraction(-3, 2))
         for n in (0, 1, 2, 7, 24, 40):
-            assert [qbinom(n, i, q) for i in range(n + 1)] == want[n]
-            assert all(type(qbinom(n, i, q)) is Fraction for i in range(n + 1))
+            binoms = [qbinom(n, i, q) for i in range(n + 1)]
+            assert binoms == want[n]
+            assert all(type(c) is Fraction for c in binoms)
             expanded = quantum_binomial_expand(n, params)
             kpow = params.k ** ((n - 1) * (n + 2) // 2) if n else 1
             assert expanded.terms == {
