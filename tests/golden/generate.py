@@ -1233,6 +1233,278 @@ def _quantum_plane_cases(cases):
             )
 
 
+# ------------------------------------------------- literals, argv, report text
+
+ODD_DIGITS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+              "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")  # full width
+BAD_LITERALS = {
+    "plus": "+1", "underscore": "1_0", "zero-den": "1/0", "zero-zero": "0/0", "float": 1.5,
+    "float-text": "1.0", "true": True, "false": False, "null": None, "empty": "",
+    "inner-space": "1 /2", "slashes": "1//2", "list": [1], "object": {"a": 1},
+    "long": "9" * 5000, "long-den": "1/" + "9" * 5000,
+}
+NEGATIVE_QS = ("-1", "-2", "-3/2", "-1/3")
+
+
+def _odd_literal(value, position):
+    """A non-canonical literal of value, one of several spellings chosen by position."""
+    num, den = value.numerator, value.denominator
+    text = rat_str(value)
+    style = position % 7
+    if style == 0:
+        return "%d/%d" % (2 * num, 2 * den)
+    if style == 1:
+        return "%d/%d" % (-num, -den)
+    if style == 2:
+        return " %s\t" % text
+    if style in (3, 4):
+        digits = ODD_DIGITS[style - 3]
+        return "".join(digits[int(c)] if c.isdigit() else c for c in text)
+    if style == 5:
+        return "-0" if num == 0 else ("00" + text if num > 0 else text)
+    return "\n%d/%d " % (3 * num, 3 * den) if den > 1 else text
+
+
+def _odd_doc(table):
+    """The bisequence document of a table, every entry spelled oddly."""
+    return {
+        "kind": "bisequence", "M": table.M, "N": table.N,
+        "entries": [[_odd_literal(v, 5 * m + n) for n, v in enumerate(row)]
+                    for m, row in enumerate(table.grid)],
+    }
+
+
+def _odd_bipoly_doc(h):
+    coeffs = [[i, j, _odd_literal(c, i + 3 * j)] for (i, j), c in sorted(h.coeffs.items())]
+    free = [(i, j) for i in range(h.r + 1) for j in range(h.s + 1)
+            if (i, j) != (0, 0) and (i, j) not in h.coeffs]
+    coeffs += [[i, j, "-0"] for i, j in free[:1]]  # a zero coefficient, dropped like any zero
+    return {"kind": "bipoly", "r": h.r, "s": h.s, "coeffs": coeffs}
+
+
+def _with_entry(doc, m, n, value):
+    doc = json.loads(json.dumps(doc))
+    doc["entries"][m][n] = value
+    return doc
+
+
+@contextlib.contextmanager
+def _columns(width):
+    """argparse wraps help to $COLUMNS: pin it, so usage text does not depend on the terminal."""
+    old = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = str(width)
+    try:
+        yield
+    finally:
+        if old is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = old
+
+
+def _cli_at(width, *argv, cwd=ROOT):
+    with _columns(width):
+        return _cli(*argv, cwd=cwd)
+
+
+def _literal_cases(cases):
+    """Odd and refused literals in tables, boundaries and bipolys, through the CLI and the library."""
+    rng = random.Random("literals")
+    h = SEQ_GEN_H["rational-1-2"]
+    M, N = 6, 5
+    fill = generate_sequence(h, 2, "-3/2", _rational_boundary(rng, h, M, N), M, N)
+    table_doc = _odd_doc(fill)
+    boundary_doc = _odd_doc(fill)
+    for m in range(M + 1):
+        for n in range(N + 1):
+            if m >= h.r and n >= h.s:
+                boundary_doc["entries"][m][n] = None
+    h_doc = _odd_bipoly_doc(h)
+    f = _random_table(rng, 8, 3)
+    g = BiSequence.from_function(
+        lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 6))), 5, 3
+    )
+    docs = {"t.json": table_doc, "b.json": boundary_doc, "h.json": h_doc,
+            "f.json": _odd_doc(f), "g.json": _odd_doc(g)}
+    runs = {
+        "verify/table": ("verify", "t.json"),
+        "verify/boundary": ("verify", "b.json"),
+        "verify/bipoly": ("verify", "h.json"),
+        "seq-minpoly": ("seq-minpoly", "--table", "t.json", "--rmax", "2", "--smax", "2"),
+        "seq-minpoly/g": ("seq-minpoly", "--table", "g.json", "--rmax", "1", "--smax", "1"),
+    }
+    for q in ("1",) + NEGATIVE_QS + ("5/3",):
+        for case in (1, 2, 3):
+            runs["seq-gen/case=%d/q=%s" % (case, q)] = (
+                "seq-gen", "--h", "h.json", "--case", str(case), "--q=" + q,
+                "--boundary", "b.json", "--M", str(M), "--N", str(N))
+            runs["seq-oracle/case=%d/q=%s/all" % (case, q)] = (
+                "seq-oracle", "--table", "t.json", "--h", "h.json", "--case", str(case),
+                "--q=" + q, "--k=-2/3", "--all")
+        runs["seq-oracle/q=%s/at" % q] = (
+            "seq-oracle", "--table", "t.json", "--h", "h.json", "--case", "2", "--q=" + q,
+            "--at", "4,3")
+        runs["convolve/q=%s" % q] = ("convolve", "--f", "f.json", "--g", "g.json",
+                                     "--q=" + q, "--M", "5", "--N", "3")
+    for label, argv in runs.items():
+        cases["cli/literals/odd/" + label] = lambda argv=argv: _cli_documents(docs, *argv)
+    cases["literals/odd/load"] = lambda: [
+        documents.bisequence_doc(documents.load_bisequence(table_doc)),
+        [[m, n, rat_str(v)] for (m, n), v in sorted(documents.load_boundary(boundary_doc).items())],
+        documents.bipoly_doc(documents.load_bipoly(h_doc)),
+    ]
+    for case in (1, 2, 3):
+        for q in NEGATIVE_QS + ("-3/5",):
+            # boundaries as a table and as the rows of a boundary document
+            cases["literals/odd/seq-gen/case=%d/q=%s" % (case, q)] = (
+                lambda case=case, q=q: [
+                    documents.bisequence_doc(generate_sequence(h, case, q, boundary, M, N))
+                    for boundary in (documents.load_bisequence(table_doc), boundary_doc["entries"])
+                ]
+            )
+    # refusals: each bad literal in a table, a boundary, a bipoly, a --q and the library
+    for label, bad in BAD_LITERALS.items():
+        bad_docs = {
+            "t.json": _with_entry(table_doc, 3, 2, bad),
+            "b.json": _with_entry(boundary_doc, 0, 4, bad),
+            "h.json": h_doc,
+            "bad-h.json": dict(h_doc, coeffs=h_doc["coeffs"] + [[1, 1, bad]]),
+            "f.json": _with_entry(docs["f.json"], 8, 0, bad),
+            "g.json": docs["g.json"],
+        }
+        for run, argv in (
+            ("verify/table", ("verify", "t.json")),
+            ("verify/boundary", ("verify", "b.json")),
+            ("verify/bipoly", ("verify", "bad-h.json")),
+            ("seq-minpoly", ("seq-minpoly", "--table", "t.json", "--rmax", "1", "--smax", "1")),
+            ("seq-oracle/bipoly", ("seq-oracle", "--table", "g.json", "--h", "bad-h.json",
+                                   "--case", "1", "--q", "1", "--at", "2,2")),
+            ("seq-oracle", ("seq-oracle", "--table", "t.json", "--h", "h.json", "--case", "1",
+                            "--q", "1", "--all")),
+            ("seq-gen", ("seq-gen", "--h", "h.json", "--case", "1", "--q", "1",
+                         "--boundary", "b.json", "--M", str(M), "--N", str(N))),
+            ("convolve", ("convolve", "--f", "f.json", "--g", "g.json", "--q", "1",
+                          "--M", "5", "--N", "3")),
+        ):
+            cases["cli/literals/refused/%s/%s" % (label, run)] = (
+                lambda bad_docs=bad_docs, argv=argv: _cli_documents(bad_docs, *argv)
+            )
+        if isinstance(bad, str):
+            cases["cli/literals/refused/%s/--q" % label] = lambda bad=bad: _cli_at(
+                80, "seq-gen", "--h", "instances/delannoy.json", "--case", "1",
+                "--q=" + bad, "--boundary", "ones", "--M", "2", "--N", "2")
+        grid = [[1, "2/4", bad], ["x", 5, 6]]  # the first bad literal in row order is named
+        cases["literals/refused/%s/bisequence" % label] = lambda grid=grid: [
+            _guarded(lambda: documents.bisequence_doc(BiSequence(1, 2, grid))),
+            _guarded(lambda: documents.bisequence_doc(BiSequence(1, 2, grid[::-1]))),
+            _guarded(lambda: documents.bisequence_doc(generate_sequence(
+                h, 1, 1, {(0, 0): bad, (0, 1): 1, (0, 2): 1}, 2, 2))),
+        ]
+
+
+def _digit_limit_cases(cases):
+    """Output entries past the int->str digit limit, which rat_str renders through Decimal."""
+    big = "1" + "0" * 600
+    docs = {
+        "big.json": {"kind": "bipoly", "r": 1, "s": 0, "coeffs": [[1, 0, big]]},
+        "tiny.json": {"kind": "bipoly", "r": 1, "s": 0, "coeffs": [[1, 0, "-1/" + big]]},
+    }
+    for name in docs:
+        cases["cli/digit-limit/seq-gen/" + name] = lambda name=name: _cli_documents(
+            docs, "seq-gen", "--h", name, "--case", "1", "--q", "1",
+            "--boundary", "ones", "--M", "9", "--N", "1")
+    rng = random.Random("digit-limit")
+    f, g = _random_table(rng, 12, 8), _random_table(rng, 4, 8)
+    huge_q = "-1" + "0" * 500 + "/7"
+    cases["cli/digit-limit/convolve"] = lambda: _cli_tables(
+        {"f.json": f, "g.json": g}, "convolve", "--f", "f.json", "--g", "g.json",
+        "--q=" + huge_q, "--M", "4", "--N", "8")
+    table = _random_table(rng, 6, 6)
+    cases["cli/digit-limit/seq-oracle"] = lambda: _cli_oracle(
+        table, ORACLE_H, "--case", "2", "--q=" + "1" + "0" * 400, "--k=" + "3" * 300,
+        "--at", "6,6")
+    ones = {(m, n): 1 for m in range(8) for n in range(2) if m < 1 or n < 1}
+    cases["digit-limit/seq-gen"] = lambda: documents.bisequence_doc(generate_sequence(
+        BiPoly(1, 1, {(1, 0): big, (0, 1): Fraction(1, 3)}), 3, "-5/7", ones, 7, 1))
+
+
+ARGV_CATALOGUE = {
+    "empty": [],
+    "top-h": ["-h"],
+    "top-help": ["--help"],
+    "top-help-then-command": ["-h", "verify"],
+    "unknown-command": ["bogus"],
+    "unknown-command-args": ["bogus", "--q", "1"],
+    "option-first": ["--q", "1", "expand"],
+    "dashdash-first": ["--", "verify", "x.json"],
+    "verify-none": ["verify"],
+    "verify-two-files": ["verify", "instances/ones_6x6.json", "instances/delannoy.json"],
+    "dualize-extra": ["dualize", "instances/dual_numbers.json", "--extra", "1"],
+    "expand-missing-q": ["expand", "--op", "hom-power", "--n", "2"],
+    "expand-missing-op": ["expand", "--q", "2"],
+    "expand-bad-op": ["expand", "--op", "bogus", "--q", "2"],
+    "expand-bad-n": ["expand", "--op", "hom-power", "--n", "two", "--q", "2"],
+    "expand-unrecognized": ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "--bogus"],
+    "expand-unrecognized-two": ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "a", "-z"],
+    "expand-dashdash": ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "--", "x"],
+    "expand-abbrev": ["expand", "--o", "hom-power", "--n", "2", "--q", "2"],
+    "expand-negative-q": ["expand", "--op", "hom-power", "--n", "2", "--q", "-1/2"],
+    "expand-negative-int-q": ["expand", "--op", "hom-power", "--n", "2", "--q", "-2"],
+    "expand-repeated": ["expand", "--op", "hom-power", "--n", "2", "--n", "3", "--q", "2"],
+    "expand-help-late": ["expand", "--op", "hom-power", "--q", "2", "-h"],
+    "expand-help-abbrev": ["expand", "--he"],
+    "seq-oracle-missing": ["seq-oracle"],
+    "seq-oracle-missing-h": ["seq-oracle", "--table", "instances/ones_6x6.json"],
+    "seq-oracle-bad-case": ["seq-oracle", "--table", "t", "--h", "h", "--case", "7", "--q", "1"],
+    "seq-oracle-case-text": ["seq-oracle", "--table", "t", "--h", "h", "--case", "x", "--q", "1"],
+    "seq-oracle-ambiguous": ["seq-oracle", "--table", "t", "--h", "h", "--case", "1", "--q", "1",
+                             "--a", "1,1"],
+    "seq-gen-bad-M": ["seq-gen", "--h", "instances/delannoy.json", "--case", "1", "--q", "1",
+                      "--boundary", "ones", "--M", "x", "--N", "2"],
+    "seq-gen-no-value": ["seq-gen", "--h"],
+    "seq-minpoly-float": ["seq-minpoly", "--table", "t", "--rmax", "1.5", "--smax", "1"],
+    "convolve-equals": ["convolve", "--f=a", "--g=b", "--q=1", "--M=1", "--N=1", "--M=2"],
+    "sweedler-missing": ["sweedler-delta", "--quotient", "q.json"],
+}
+COMMANDS = ("verify", "dualize", "sweedler-delta", "expand", "seq-gen", "seq-oracle",
+            "seq-minpoly", "convolve")
+
+
+def _argparse_cases(cases):
+    """Parser paths with their stdout, stderr and exit code, help at a pinned width."""
+    for label, argv in ARGV_CATALOGUE.items():
+        cases["cli/argv/" + label] = lambda argv=argv: _cli_at(80, *argv)
+    for command in COMMANDS:
+        cases["cli/argv/help/" + command] = lambda command=command: _cli_at(80, command, "-h")
+        cases["cli/argv/help-narrow/" + command] = lambda command=command: _cli_at(
+            40, command, "--help")
+
+
+REPORT_TEXT = "x\u00e9\"\\q\x01\x1f\x7f\u2028\u2603\U0001F600\udcff\t\n/y"
+
+
+def _report_text_cases(cases):
+    """Reports that echo argv holding non-ASCII, quote, backslash and control characters."""
+    cases["cli/report-text/expand-word"] = lambda: _cli(
+        "expand", "--op", "normal-order", "--word", REPORT_TEXT, "--q", "2")
+    cases["cli/report-text/missing-file"] = lambda: _cli("verify", REPORT_TEXT)
+    name = "t\u00e2b\\le \"q\" \x01\u2603\U0001F600.json"
+    table = _random_table(random.Random("report-text"), 3, 3)
+    for argv in (
+        ("seq-minpoly", "--table", name, "--rmax", "1", "--smax", "1"),
+        ("convolve", "--f", name, "--g", name, "--q", "2", "--M", "1", "--N", "2"),
+        ("verify", name),
+    ):
+        cases["cli/report-text/file-name/" + argv[0]] = lambda argv=argv: _cli_tables(
+            {name: table}, *argv)
+    cases["cli/report-text/functional"] = lambda: _cli(
+        "sweedler-delta", "--quotient", "instances/qplane_quotient_R2_S2_q2_k3.json",
+        "--functional", "0,0,0,\u0661,0,0,0,0,\uff12")
+    cases["cli/report-text/functional-bad"] = lambda: _cli(
+        "sweedler-delta", "--quotient", "instances/qplane_quotient_R2_S2_q2_k3.json",
+        "--functional", REPORT_TEXT)
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -1253,6 +1525,10 @@ def cases():
     _seq_gen_cases(out)
     _convolve_shape_cases(out)
     _quantum_plane_cases(out)
+    _literal_cases(out)
+    _digit_limit_cases(out)
+    _argparse_cases(out)
+    _report_text_cases(out)
     return out
 
 
