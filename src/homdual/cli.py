@@ -1,11 +1,14 @@
 """Command line front end.
 
 Reads JSON structure documents, dispatches to the library, and prints one
-canonical JSON report per invocation (sorted keys, exact "p/q" scalars).
+canonical JSON report per invocation (sorted keys, exact "p/q" scalars):
+the text of json.dumps(report, sort_keys=True, indent=2), written by one
+recursive writer over the C string encoder.
 Exit codes: 0 result or verification pass, 1 verification failure, 2 bad
 input or schema, 3 internal error (an unexpected exception in a command,
 reported as one JSON document with status "internal-error").  The argument
-parser is built once per process, by the first dispatch.
+parser is built once per process, by the first dispatch; an argv that
+starts with a subcommand's name is parsed by that subcommand's parser.
 """
 
 import argparse
@@ -13,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import documents
 from .errors import InputError
@@ -73,8 +77,62 @@ def _violations_json(report):
     ]
 
 
+def _write_json(value, pad, out):
+    """Append to out the text json.dumps(value, sort_keys=True, indent=2) gives at indent pad.
+
+    pad is a newline and the indentation of value's own line.  Reports hold
+    str-keyed dicts, lists, tuples, str, int (bool included) and None; any
+    other type raises TypeError, and an int past the int->str digit limit
+    raises json's ValueError.
+    """
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            out.append(sep)
+            sep = comma
+            if type(item) is str:  # table rows and argv: the commonest items, inline
+                out.append(_quote(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write_json(item, inner, out)
+        out.append(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError("report keys must be str, not %s" % type(key).__name__)
+            out.append(sep + _quote(key) + ": ")
+            sep = comma
+            _write_json(value[key], inner, out)
+        out.append(pad + "}")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
 def _emit(report):
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 def _rat_arg(text):
@@ -109,9 +167,9 @@ def _verify_document(doc):
     # bipoly / bisequence: nothing beyond the schema to check
     if kind == "bipoly":
         documents.load_bipoly(doc)
-    elif any(
+    elif isinstance(doc.get("entries"), list) and any(
         value is None
-        for row in doc.get("entries", [])
+        for row in doc["entries"]
         for value in (row if isinstance(row, list) else [])
     ):
         # boundary table: same shape, nulls on the interior
@@ -311,6 +369,7 @@ def build_parser():
         " their dual coalgebras, and the bivariate recursions they induce.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subcommand parser, for dispatch
 
     p = sub.add_parser("verify", help="verify a structure document against its axioms")
     p.add_argument("file", nargs="?", help="JSON document to verify")
@@ -392,13 +451,29 @@ def build_parser():
 _PARSER = None
 
 
+def _parse_args(argv):
+    """_PARSER.parse_args(argv), with a named subcommand parsed by its own parser.
+
+    The top parser would hand every argument after the name to that parser
+    anyway; the leftovers get the top parser's error, as parse_args gives it.
+    """
+    command = _PARSER.commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, help, an option first or an unknown name
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error("unrecognized arguments: %s" % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def dispatch(argv):
     """Run one subcommand; returns the process exit code."""
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else int(exc.code)
     if args.command == "verify" and not args.all and not args.file:

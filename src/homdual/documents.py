@@ -9,7 +9,7 @@ back to equal structures.
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_math import Matrix, rat, rat_str
+from .exact_math import Matrix, _render, rat, rat_str
 from .homalg_core import (
     FiniteHomAlgebra,
     FiniteHomCoalgebra,
@@ -334,7 +334,10 @@ def bisequence_doc(table):
         "kind": "bisequence",
         "M": table.M,
         "N": table.N,
-        "entries": [[rat_str(v) for v in row] for row in table.grid],
+        "entries": [
+            [_render(a, b) for a, b in zip(top, bottom)]
+            for top, bottom in zip(table.nums, table.dens)
+        ],
     }
 
 
@@ -346,7 +349,11 @@ def load_boundary(doc, kind="bisequence"):
     M = _int_field(doc, "M", kind)
     N = _int_field(doc, "N", kind)
     entries = _need(doc, "entries", kind)
-    if len(entries) != M + 1 or any(len(row) != N + 1 for row in entries):
+    try:
+        shaped = len(entries) == M + 1 and all(len(row) == N + 1 for row in entries)
+    except TypeError:  # a number where a row or the grid should be
+        shaped = False
+    if not shaped:
         raise InputError("%s document: field 'entries' must be an (M+1)x(N+1) grid" % kind)
     cells = {}
     for m, row in enumerate(entries):

@@ -1,6 +1,10 @@
 """Exact rational scalars and dense rational linear algebra (RREF, kernel).
 
 Matrices hold Fractions; mat_rref eliminates fraction-free, on integers.
+A literal parses to a reduced (numerator, denominator) pair first
+(_pair), and a pair renders back to canonical text (_render): rat and
+rat_str are these plus a Fraction, and tables that stay on integers
+(recseq.BiSequence) use the pairs alone.
 """
 
 import decimal
@@ -20,29 +24,47 @@ _RAT_RE = re.compile(r"^-?\d+(/-?\d+)?$")
 _ZERO = Fraction(0)  # what the literal "0", the commonest entry of a document, parses to
 
 
-def rat(value):
-    """Coerce ints, Fractions and "p/q" strings to an exact Rational.
+def _reduced(num, den):
+    """num/den in lowest terms with a positive denominator; den must be nonzero."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
 
-    Floats are rejected: every scalar in this library is exact.  So are
-    booleans, although Python counts them as ints.
+
+def _pair(value):
+    """(numerator, denominator) of what rat(value) would return, without the Fraction.
+
+    Reduced, denominator > 0.  A str that int() takes as it stands (no "+",
+    no "_", no space around the "/") skips the regex: int() then accepts
+    exactly what the regex does.  Every other str, and every refusal, goes
+    the regex way, so the errors and their order are rat's.
     """
-    # an exact str, the commonest argument, skips the ABC check a Fraction test costs it
-    if type(value) is not str:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        if not isinstance(value, str):
-            raise InputError("cannot coerce %r to a rational" % (value,))
-    if value == "0":
-        return _ZERO
+    if type(value) is str:
+        if "+" not in value and "_" not in value:
+            num, slash, den = value.partition("/")
+            try:
+                if not slash:
+                    return int(value), 1
+                if not (num[-1:].isspace() or den[:1].isspace()):
+                    num, den = int(num), int(den)
+                    if den:
+                        return _reduced(num, den)
+            except ValueError:  # not a plain literal, or past the digit limit
+                pass
+    elif isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return int(value), 1
+    elif not isinstance(value, str):
+        raise InputError("cannot coerce %r to a rational" % (value,))
     text = value.strip()
     if not _RAT_RE.match(text):
         raise InputError("not a rational literal 'p' or 'p/q': %r" % (value,))
     num, _, den = text.partition("/")
     try:
         if not den:
-            return Fraction(int(num))
+            return int(num), 1
         num, den = int(num), int(den)
     except ValueError:  # past the interpreter's int-from-str digit limit
         raise InputError(
@@ -51,19 +73,39 @@ def rat(value):
         )
     if den == 0:
         raise InputError("zero denominator in rational literal %r" % (value,))
-    return Fraction(num, den)
+    return _reduced(num, den)
+
+
+def rat(value):
+    """Coerce ints, Fractions and "p/q" strings to an exact Rational.
+
+    Floats are rejected: every scalar in this library is exact.  So are
+    booleans, although Python counts them as ints.
+    """
+    if type(value) is str:
+        if value == "0":
+            return _ZERO
+    elif isinstance(value, Fraction):
+        return value
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    num, den = _pair(value)
+    return Fraction(num) if den == 1 else Fraction(num, den)
+
+
+def _render(num, den):
+    """The canonical text of num/den, given in lowest terms with den > 0."""
+    try:
+        return str(num) if den == 1 else "%d/%d" % (num, den)
+    except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
+        num, den = str(decimal.Decimal(num)), str(decimal.Decimal(den))
+        return num if den == "1" else "%s/%s" % (num, den)
 
 
 def rat_str(value):
     """Render a Rational of any size as "p/q", or "p" when the denominator is 1."""
     f = rat(value)
-    try:
-        if f.denominator == 1:
-            return str(f.numerator)
-        return "%d/%d" % (f.numerator, f.denominator)
-    except ValueError:  # past the interpreter's int-to-str digit limit; Decimal has none
-        num, den = (str(decimal.Decimal(n)) for n in (f.numerator, f.denominator))
-        return num if den == "1" else "%s/%s" % (num, den)
+    return _render(f.numerator, f.denominator)
 
 
 class _Memo(dict):

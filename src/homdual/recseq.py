@@ -11,7 +11,11 @@ stencils: it applies the twisted product to bracketed monomials, one
 monomial of h at a time, so a residual is one fraction-free integer sum over
 the |h|+1 entries it reads, with powers of q and k from tables shared by all
 cells of a batch.  A cell of the plain fill and of the convolution is such a
-sum too, then one Fraction.  The exact searches cost O(len^2) per row
+sum too, then one reduced integer pair: a BiSequence holds its entries as
+integer rows of numerators and denominators, from the document literals
+(exact_math._pair) to the report (exact_math._render), and every reader
+here works on those rows; Fractions are built only for grid and entry.
+The exact searches cost O(len^2) per row
 (Berlekamp-Massey), one fraction-free kernel of a cols+1-row prefix taken
 along antidiagonals plus O(rows*cols) substitution per bidegree, and one
 O(N^2) q-Pascal triangle per convolution.
@@ -23,7 +27,7 @@ from enum import IntEnum
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_math import Matrix, _Memo, mat_kernel, rat, rat_str
+from .exact_math import Matrix, _Memo, _pair, _reduced, mat_kernel, rat, rat_str
 from .qplane import QParams, QPoly, _qpascal, hom_product
 
 
@@ -78,41 +82,66 @@ class BiPoly:
 
 
 class BiSequence:
-    """Fully populated rational table f_{m,n} for 0 <= m <= M, 0 <= n <= N."""
+    """Fully populated rational table f_{m,n} for 0 <= m <= M, 0 <= n <= N.
+
+    The entries are held as integer rows: f_{m,n} = nums[m][n] / dens[m][n]
+    in lowest terms, dens[m][n] > 0.  grid, the same table as rows of
+    Fractions, is built on first use.
+    """
+
+    __slots__ = ("M", "N", "nums", "dens", "_grid")
 
     def __init__(self, M, N, grid):
         if M < 0 or N < 0:
             raise InputError("table bounds must be nonnegative")
         if len(grid) != M + 1:
             raise InputError("table must have M+1 rows")
-        rows = []
+        nums, dens = [], []
         for m, row in enumerate(grid):
             if len(row) != N + 1:
                 raise InputError("table row %d must have N+1 entries" % m)
-            rows.append(tuple([rat(v) for v in row]))
+            top, bottom = zip(*[_pair(v) for v in row])
+            nums.append(top)
+            dens.append(bottom)
+        self._set(M, N, nums, dens)
+
+    def _set(self, M, N, nums, dens):
         self.M = M
         self.N = N
-        self.grid = tuple(rows)
+        self.nums = tuple(nums)
+        self.dens = tuple(dens)
+        self._grid = None
 
     @classmethod
-    def from_function(cls, fn, M, N):
-        return cls(M, N, [[fn(m, n) for n in range(N + 1)] for m in range(M + 1)])
+    def _from_pairs(cls, M, N, nums, dens):
+        """The table of reduced integer rows nums / dens, taken as they are."""
+        table = cls.__new__(cls)
+        table._set(M, N, [tuple(row) for row in nums], [tuple(row) for row in dens])
+        return table
 
-    @classmethod
-    def constant(cls, value, M, N):
-        value = rat(value)
-        return cls.from_function(lambda m, n: value, M, N)
+    @property
+    def grid(self):
+        if self._grid is None:
+            self._grid = tuple(
+                tuple([Fraction(a, b) for a, b in zip(top, bottom)])
+                for top, bottom in zip(self.nums, self.dens)
+            )
+        return self._grid
 
-    def entry(self, m, n):
+    def _check(self, m, n):
         if not (0 <= m <= self.M and 0 <= n <= self.N):
             raise InputError("entry (%d, %d) outside table bounds" % (m, n))
+
+    def entry(self, m, n):
+        self._check(m, n)
         return self.grid[m][n]
 
     def __eq__(self, other):
         return (
             isinstance(other, BiSequence)
             and (self.M, self.N) == (other.M, other.N)
-            and self.grid == other.grid
+            and self.nums == other.nums
+            and self.dens == other.dens
         )
 
     def __repr__(self):
@@ -143,20 +172,22 @@ def _stencil(m, n, mapping):
     return RecursionStencil(m, n, pairs)
 
 
-def _boundary_value(boundary, m, n):
+def _boundary_pair(boundary, m, n):
+    """The boundary value at (m, n) as a reduced (numerator, denominator) pair."""
     if isinstance(boundary, dict):
         if (m, n) not in boundary:
             raise InputError("missing boundary cell (%d, %d)" % (m, n))
-        return rat(boundary[(m, n)])
+        return _pair(boundary[(m, n)])
     if isinstance(boundary, BiSequence):
-        return boundary.entry(m, n)
+        boundary._check(m, n)
+        return boundary.nums[m][n], boundary.dens[m][n]
     try:
         value = boundary[m][n]
     except (IndexError, TypeError):
         raise InputError("missing boundary cell (%d, %d)" % (m, n))
     if value is None:
         raise InputError("missing boundary cell (%d, %d)" % (m, n))
-    return rat(value)
+    return _pair(value)
 
 
 def _check_boundary_keys(boundary, r, s, M, N):
@@ -175,8 +206,9 @@ def generate_sequence(h, case, q, boundary, M, N):
     q^(-i(n-s)) for the right one, q^(-j(m-r)) for the left one.  The
     boundary must supply every cell with m < r or n < s.  As in _residuals,
     a cell is one integer sum over the common denominator of h, of the
-    weights and of the entries it reads, then one Fraction; the powers of
-    the numerator and denominator of q come from tables shared by all cells.
+    weights and of the entries it reads, then one reduced integer pair; the
+    powers of the numerator and denominator of q come from tables shared by
+    all cells.
     """
     q = rat(q)
     if q == 0:
@@ -189,11 +221,12 @@ def generate_sequence(h, case, q, boundary, M, N):
     terms = [(i, j, v.numerator * (hscale // v.denominator)) for (i, j), v in h.coeffs.items()]
     qn, qd = (_Memo(lambda e, base=base: base ** e) for base in (q.numerator, q.denominator))
     kind = None
-    grid = [[None] * (N + 1) for _ in range(M + 1)]
+    nums = [[0] * (N + 1) for _ in range(M + 1)]
+    dens = [[1] * (N + 1) for _ in range(M + 1)]
     for m in range(M + 1):
         for n in range(N + 1):
             if m < r or n < s:
-                grid[m][n] = _boundary_value(boundary, m, n)
+                nums[m][n], dens[m][n] = _boundary_pair(boundary, m, n)
                 continue
             if kind is None:  # the case is read at the first interior cell, if h has terms
                 kind = CaseId(case) if terms else CaseId.MIDDLE
@@ -202,13 +235,14 @@ def generate_sequence(h, case, q, boundary, M, N):
             b = m - r if kind is CaseId.LEFT else 0
             exps = [i * a + j * b for i, j, _ in terms]
             top = max(exps, default=0)
-            entries = [grid[m - i][n - j] for i, j, _ in terms]
-            scale = math.lcm(*(v.denominator for v in entries))
+            scale = math.lcm(*[dens[m - i][n - j] for i, j, _ in terms])
             total = 0
-            for (_, _, c), e, v in zip(terms, exps, _integral(entries, scale)):
-                total += c * v * qd[e] * qn[top - e]
-            grid[m][n] = Fraction(total, hscale * scale * qn[top])
-    return BiSequence(M, N, grid)
+            for (i, j, c), e in zip(terms, exps):
+                v, d = nums[m - i][n - j], dens[m - i][n - j]
+                total += c * v * (scale // d) * qd[e] * qn[top - e]
+            # q < 0 makes qn[top] negative: _reduced moves the sign to the numerator
+            nums[m][n], dens[m][n] = _reduced(total, hscale * scale * qn[top])
+    return BiSequence._from_pairs(M, N, nums, dens)
 
 
 def _case_expression(h, case, m, n, params):
@@ -267,7 +301,7 @@ def _residuals(f, h, case, cells, q, k):
         for base in (params.q.numerator, params.q.denominator,
                      params.k.numerator, params.k.denominator)
     )
-    grid, r, s = f.grid, h.r, h.s
+    nums, dens, r, s = f.nums, f.dens, h.r, h.s
     out = []
     for m, n in cells:
         if m < r or n < s:
@@ -279,12 +313,11 @@ def _residuals(f, h, case, cells, q, k):
         xm, yn = (0, 0, m - r, 0), (0, 0, 0, n - s)
         # e and g grow with the exponents of u: the leading x^r y^s has the largest
         top_e, top_g, _, _ = _bracketed(case, xm, yn, (0, 0, r, s))
-        entries = [grid[m - i][n - j] for (i, j), _ in terms]
-        scale = math.lcm(*(v.denominator for v in entries))
+        scale = math.lcm(*[dens[m - i][n - j] for (i, j), _ in terms])
         total = 0
-        for ((i, j), c), v in zip(terms, entries):
+        for (i, j), c in terms:
             e, g, _, _ = _bracketed(case, xm, yn, (0, 0, r - i, s - j))
-            total += (c * v.numerator * (scale // v.denominator)
+            total += (c * nums[m - i][n - j] * (scale // dens[m - i][n - j])
                       * kn[e] * kd[top_e - e] * qn[g] * qd[top_g - g])
         out.append(Fraction(total, hscale * scale * kd[top_e] * qd[top_g]))
     return out
@@ -330,7 +363,7 @@ def generate_sequence_derived(h, case, q, k, boundary, M, N):
     for m in range(M + 1):
         for n in range(N + 1):
             if m < h.r or n < h.s:
-                grid[m][n] = _boundary_value(boundary, m, n)
+                grid[m][n] = Fraction(*_boundary_pair(boundary, m, n))
             else:
                 stencil = derive_recursion(h, case, m, n, params.q, params.k)
                 total = Fraction(0)
@@ -360,21 +393,24 @@ def quantum_convolution(f, g, q, M, N):
     for n, row in enumerate(_qpascal(N, q)):
         top = n * n // 4
         binom.append(([c * b ** (top - i * (n - i)) for i, c in enumerate(row)], b ** top))
-    grid = []
+    nums, dens = [], []
     for m in range(M + 1):
-        row = []
+        gnum, gden = g.nums[m], g.dens[m]
+        top, bottom = [], []
         for n in range(N + 1):
             coeffs, bscale = binom[n]
-            fs = [f.grid[m + t][n - t] for t in range(n + 1)]
-            gs = g.grid[m][: n + 1]
-            fscale = math.lcm(*(v.denominator for v in fs))
-            gscale = math.lcm(*(v.denominator for v in gs))
+            fnum = [f.nums[m + t][n - t] for t in range(n + 1)]
+            fden = [f.dens[m + t][n - t] for t in range(n + 1)]
+            fscale, gscale = math.lcm(*fden), math.lcm(*gden[: n + 1])
             total = 0
-            for c, a, b in zip(coeffs, _integral(fs, fscale), _integral(gs, gscale)):
-                total += c * a * b
-            row.append(Fraction(total, bscale * fscale * gscale))
-        grid.append(row)
-    return BiSequence(M, N, grid)
+            for c, u, du, v, dv in zip(coeffs, fnum, fden, gnum, gden):
+                total += c * u * (fscale // du) * v * (gscale // dv)
+            num, den = _reduced(total, bscale * fscale * gscale)
+            top.append(num)
+            bottom.append(den)
+        nums.append(top)
+        dens.append(bottom)
+    return BiSequence._from_pairs(M, N, nums, dens)
 
 
 def _bidegree_candidates(rmax, smax):
@@ -385,10 +421,15 @@ def _bidegree_candidates(rmax, smax):
                 yield (r, s)
 
 
-def _integral(values, scale=None):
-    """The values times scale (default: their common denominator), as ints."""
-    scale = scale or math.lcm(*(v.denominator for v in values))
+def _integral(values):
+    """Fractions times their common denominator, as ints."""
+    scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _scaled(nums, dens, scale):
+    """Integer entries times scale, a common multiple of their denominators."""
+    return [a * (scale // b) for a, b in zip(nums, dens)]
 
 
 def _certified_kernel(rows, cols):
@@ -424,8 +465,8 @@ def minimal_bipoly(f, rmax, smax):
         raise InputError(
             "table too small: need M >= %d and N >= %d" % (2 * rmax, 2 * smax)
         )
-    scale = math.lcm(*(v.denominator for row in f.grid for v in row))
-    grid = [_integral(row, scale) for row in f.grid]  # integer rows, same kernels
+    scale = math.lcm(*[b for row in f.dens for b in row])
+    grid = [_scaled(a, b, scale) for a, b in zip(f.nums, f.dens)]  # integer rows, same kernels
     for r, s in _bidegree_candidates(rmax, smax):
         positions = [
             (i, j) for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)
@@ -496,8 +537,8 @@ def format_unipoly(p):
     return "".join(pieces)
 
 
-def _min_univariate(seq, dmax):
-    """Minimal monic annihilator of a finite sequence up to degree dmax.
+def _min_univariate(nums, dens, dmax):
+    """Minimal monic annihilator of the sequence nums / dens up to degree dmax.
 
     Fraction-free Berlekamp-Massey (Massey 1969) on the integer-scaled
     sequence tracks the linear complexity L and a primitive integer multiple
@@ -505,7 +546,7 @@ def _min_univariate(seq, dmax):
     L never decreases, so it stops once L > dmax.  If 2L <= len (always so for
     dmax <= len/2) the annihilator is unique: the one a kernel solve gives.
     """
-    seq = _integral(seq)
+    seq = _scaled(nums, dens, math.lcm(*dens))
     conn, prev = [1], [1]
     length, gap, prev_disc = 0, 1, 1
     for n in range(len(seq)):
@@ -542,12 +583,11 @@ def row_minimal_polys(f, max_degree=None):
     y_bound = (f.N + 1) // 2 if max_degree is None else max_degree
     if f.M + 1 < 2 * x_bound or f.N + 1 < 2 * y_bound:
         raise InputError("table too small for degree bound %d" % max_degree)
-    x_polys = []
-    for n in range(f.N + 1):
-        seq = [f.entry(m, n) for m in range(f.M + 1)]
-        x_polys.append(_min_univariate(seq, x_bound))
-    y_polys = []
-    for m in range(f.M + 1):
-        seq = [f.entry(m, n) for n in range(f.N + 1)]
-        y_polys.append(_min_univariate(seq, y_bound))
+    x_polys = [
+        _min_univariate(top, bottom, x_bound)
+        for top, bottom in zip(zip(*f.nums), zip(*f.dens))
+    ]
+    y_polys = [
+        _min_univariate(top, bottom, y_bound) for top, bottom in zip(f.nums, f.dens)
+    ]
     return x_polys, y_polys

@@ -559,13 +559,22 @@ def _cli_tables(tables, *argv):
         return _cli(*argv, cwd=tmp)
 
 
+def _table(fn, M, N):
+    """The table fn(m, n) for 0 <= m <= M, 0 <= n <= N."""
+    return BiSequence(M, N, [[fn(m, n) for n in range(N + 1)] for m in range(M + 1)])
+
+
+def _constant(value, M, N):
+    return _table(lambda m, n: value, M, N)
+
+
 def _instance_table(name):
     doc = json.loads((ROOT / "instances" / name).read_text(encoding="utf-8"))
     return documents.load_bisequence(doc)
 
 
 def _random_table(rng, M, N):
-    return BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M, N)
+    return _table(lambda m, n: rng.randint(-4, 4), M, N)
 
 
 def _sparse01_table(seed):
@@ -573,7 +582,7 @@ def _sparse01_table(seed):
     rng = random.Random(seed)
     M = rng.choice((4, 5, 6))
     density = rng.choice((0.1, 0.2, 0.3))
-    return BiSequence.from_function(lambda m, n: int(rng.random() < density), M, M)
+    return _table(lambda m, n: int(rng.random() < density), M, M)
 
 
 def _recursive_table(rng, M, N):
@@ -623,12 +632,12 @@ def _seq_minpoly_cases(cases):
             )
         )
     rng = random.Random("seq-minpoly")
-    tables = {"zero": BiSequence.constant(0, 5, 5)}
+    tables = {"zero": _constant(0, 5, 5)}
     for n in range(6):
         tables["recursive-%d" % n] = _recursive_table(rng, 7, 7)
     for n in range(3):
         tables["random-%d" % n] = _random_table(rng, 6, 6)
-    tables["factorial"] = BiSequence.from_function(
+    tables["factorial"] = _table(
         lambda m, n: math.factorial(m + n) * math.factorial(m), 4, 4
     )
     for seed in (8, 46, 49, 100, 117, 139, 146):
@@ -695,7 +704,7 @@ def _row_minimal_cases(cases):
                 lambda table=table, bound=bound: _rows(row_minimal_polys(table, bound))
             )
     rng = random.Random("row-minimal-polys")
-    tables = {"zero": BiSequence.constant(0, 6, 3)}
+    tables = {"zero": _constant(0, 6, 3)}
     for n in range(6):
         tables["recursive-%d" % n] = _recursive_table(rng, 11, 11)
     for n in range(3):
@@ -735,10 +744,10 @@ def _oracle_tables(case, q, k):
     fill = generate_sequence_derived(h, case, q, k, boundary, M, N)
     grid = [list(row) for row in fill.grid]
     grid[ORACLE_BUMP[0]][ORACLE_BUMP[1]] += 1
-    rational = BiSequence.from_function(
+    rational = _table(
         lambda m, n: Fraction(rng.randint(-9, 9), rng.randint(1, 6)), M, N
     )
-    flat = BiSequence.from_function(lambda m, n: rng.randint(-5, 5), h.r - 1, N)
+    flat = _table(lambda m, n: rng.randint(-5, 5), h.r - 1, N)
     return {
         "fill": fill,
         "perturbed": BiSequence(M, N, grid),
@@ -1109,7 +1118,7 @@ def _convolve_shape_cases(cases):
     rng = random.Random("convolve/shapes")
 
     def rational_table(M, N):
-        return BiSequence.from_function(
+        return _table(
             lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 7))), M, N
         )
 
@@ -1216,7 +1225,7 @@ def _quantum_plane_cases(cases):
     rng = random.Random("convolve/rational-q")
     for q in ("7/5", "-2/3"):
         for M, N in ((0, 0), (0, 3), (4, 0), (1, 1), (6, 2), (2, 7), (5, 8)):
-            f = BiSequence.from_function(
+            f = _table(
                 lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 5, 7))), M + N, N
             )
             g = _random_table(rng, M, N)
@@ -1321,7 +1330,7 @@ def _literal_cases(cases):
                 boundary_doc["entries"][m][n] = None
     h_doc = _odd_bipoly_doc(h)
     f = _random_table(rng, 8, 3)
-    g = BiSequence.from_function(
+    g = _table(
         lambda m, n: Fraction(rng.randint(-9, 9), rng.choice((1, 2, 4, 6))), 5, 3
     )
     docs = {"t.json": table_doc, "b.json": boundary_doc, "h.json": h_doc,

@@ -56,6 +56,15 @@ KS = (Fraction(1), Fraction(2), Fraction(3, 2), Fraction(-1))
 SEED = 20260815
 
 
+def table_of(fn, M, N):
+    """The table fn(m, n) for 0 <= m <= M, 0 <= n <= N."""
+    return BiSequence(M, N, [[fn(m, n) for n in range(N + 1)] for m in range(M + 1)])
+
+
+def constant_table(value, M, N):
+    return table_of(lambda m, n: value, M, N)
+
+
 def verdict(num, problems):
     print("ACCEPTANCE %02d %s" % (num, "FAIL" if problems else "PASS"))
     assert not problems, "; ".join(str(p) for p in problems[:5])
@@ -376,8 +385,8 @@ def test_acceptance_09_q_combinatorics():
 
 def test_acceptance_10_convolution_sanity():
     problems = []
-    ones_f = BiSequence.constant(1, 11, 5)
-    ones_g = BiSequence.constant(1, 5, 5)
+    ones_f = constant_table(1, 11, 5)
+    ones_g = constant_table(1, 5, 5)
     out = quantum_convolution(ones_f, ones_g, 1, 5, 5)
     for m in range(6):
         for n in range(6):
@@ -386,7 +395,7 @@ def test_acceptance_10_convolution_sanity():
     rng = random.Random(SEED)
 
     def rand_table(M, N):
-        return BiSequence.from_function(
+        return table_of(
             lambda m, n: Fraction(rng.randint(-4, 4)), M, N
         )
 
@@ -395,7 +404,7 @@ def test_acceptance_10_convolution_sanity():
         f1 = rand_table(6, 3)
         f2 = rand_table(6, 3)
         g = rand_table(3, 3)
-        merged = BiSequence.from_function(
+        merged = table_of(
             lambda m, n: f1.entry(m, n) + f2.entry(m, n), 6, 3
         )
         h1 = quantum_convolution(f1, g, q, 3, 3)
@@ -403,7 +412,7 @@ def test_acceptance_10_convolution_sanity():
         both = quantum_convolution(merged, g, q, 3, 3)
         tripled = quantum_convolution(
             f1,
-            BiSequence.from_function(lambda m, n: 3 * g.entry(m, n), 3, 3),
+            table_of(lambda m, n: 3 * g.entry(m, n), 3, 3),
             q, 3, 3,
         )
         for m in range(4):

@@ -1,13 +1,19 @@
 """Command-line interface: reports, exit codes, determinism."""
 
+import contextlib
 import decimal
+import enum
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homdual import cli
 from homdual.errors import InputError
@@ -259,6 +265,24 @@ def test_expand_rejects_bad_word():
     assert proc.returncode == 2
 
 
+def test_malformed_table_shapes_exit_2_naming_the_field(tmp_path, capsys):
+    # a number where a row, or the whole grid, should be: exit 2, not an internal error
+    boundary = tmp_path / "b.json"
+    boundary.write_text(json.dumps({"kind": "bisequence", "M": 1, "N": 0, "entries": [1, 2]}))
+    bare = tmp_path / "e.json"
+    bare.write_text(json.dumps({"kind": "bisequence", "M": 1, "N": 0, "entries": 5}))
+    for argv in (
+        ["seq-gen", "--h", str(INSTANCES / "delannoy.json"), "--case", "1", "--q", "1",
+         "--boundary", str(boundary), "--M", "2", "--N", "2"],
+        ["verify", str(bare)],
+        ["verify", str(boundary)],
+    ):
+        assert cli.dispatch(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert json.loads(out)["status"] == "error"
+        assert "field 'entries'" in json.loads(out)["error"] and "field 'entries'" in err
+
+
 # ----------------------------------------------------------------- seq-gen
 
 
@@ -450,3 +474,94 @@ def test_unexpected_exception_exits_3_with_one_document(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_PARSER", None)
     assert cli.dispatch(argv) == 2
     assert json.loads(capsys.readouterr().out)["status"] == "error"
+
+
+# ------------------------------------------------------------- report writer
+
+
+class Small(enum.IntEnum):
+    TWO = 2
+
+
+def _written(value):
+    out = []
+    cli._write_json(value, "\n", out)
+    return "".join(out)
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.sampled_from([Small.TWO, 10 ** 4000, -(7 ** 4700)]))
+_TREES = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_TREES)
+def test_report_writer_matches_json_dumps(tree):
+    # past the int->str digit limit both raise the same ValueError
+    try:
+        want = json.dumps(tree, sort_keys=True, indent=2)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _written(tree)
+        assert str(got.value) == str(exc)
+    else:
+        assert _written(tree) == want
+
+
+def test_report_writer_refuses_other_types():
+    for value in (1.5, Fraction(1, 2), {1, 2}, b"x", object(), [0, [1.0]], {"a": {"b": 0.5}}):
+        with pytest.raises(TypeError):
+            _written(value)
+    with pytest.raises(TypeError):
+        _written({1: "x"})
+
+
+def test_emit_writes_one_canonical_document(capsys):
+    report = {"command": ["x\u00e9\"\\\x01"], "status": "pass", "result": {"terms": [[1, 0, "1/2"]]}}
+    cli._emit(report)
+    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# ------------------------------------------------------------ routed argv
+
+ROUTED = [
+    [], ["-h"], ["--help"], ["bogus"], ["-h", "verify"], ["--", "verify", "x"], ["--q", "1", "expand"],
+    ["verify"], ["verify", "a.json"], ["verify", "a.json", "b.json"], ["verify", "--all", "d"],
+    ["verify", "-h"], ["dualize", "x.json", "--extra", "1"], ["sweedler-delta", "--quotient", "q"],
+    ["expand", "--op", "hom-power", "--n", "2", "--q", "2"],
+    ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "--k", "-2/3"],
+    ["expand", "--op", "hom-power", "--n", "2", "--q", "-1/2"],
+    ["expand", "--op", "bogus", "--q", "2"], ["expand", "--op", "hom-power", "--n", "x", "--q", "2"],
+    ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "--bogus", "a"],
+    ["expand", "--op", "hom-power", "--n", "2", "--q", "2", "--", "x"],
+    ["expand", "--o", "hom-power", "--n", "2", "--q=+1"], ["expand", "--he"],
+    ["expand", "--op", "normal-order", "--word", "yx", "--q", "2", "-h"],
+    ["seq-oracle"] + ["--table", "t", "--h", "h", "--case", "2", "--q", "5/3", "--at", "3,4"],
+    ["seq-oracle", "--table", "t", "--h", "h", "--case", "7", "--q", "1", "--all"],
+    ["seq-oracle", "--table", "t", "--h", "h", "--case", "1", "--q", "1", "--a", "1,1"],
+    ["seq-gen", "--h", "h", "--case", "3", "--q", "1", "--boundary", "ones", "--M", "4", "--N", "x"],
+    ["seq-gen", "--h"], ["seq-minpoly", "--table", "t", "--rmax", "2", "--smax", "2"],
+    ["convolve", "--f=a", "--g=b", "--q=1", "--M=1", "--N=1", "--M=2", "extra"],
+]
+
+
+def _parsed(parse, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_routed_argv_parses_like_the_top_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+    for argv in ROUTED:
+        assert _parsed(cli._parse_args, argv) == _parsed(cli._PARSER.parse_args, argv), argv

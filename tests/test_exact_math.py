@@ -1,13 +1,16 @@
 import decimal
+import math
 import random
 import re
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homdual.errors import InputError
-from homdual.exact_math import Matrix, mat_kernel, mat_rref, rat, rat_str
+from homdual.exact_math import Matrix, _pair, _render, mat_kernel, mat_rref, rat, rat_str
 
 
 def test_rat_accepts_ints_fractions_strings():
@@ -59,21 +62,70 @@ def _outcome(parse, value):
     return type(out), out
 
 
+class _Text(str):
+    pass
+
+
+class _Ratio(Fraction):
+    pass
+
+
+# an exact str is tested first; subclasses, other types and every error keep their path
+LITERALS = [
+    "0", " 0 ", "-0", "00", "0/5", "0/0", "0.0", "", "0 /5", "+0", 0, False, Fraction(0),
+    "1", "-3/6", "1/0", "x", 1.5, None,
+    "+1", "1_0", " 7 ", "5\n", "\u0663", _Text("0"), _Text("-4/6"), _Text("y"),
+    _Ratio(3, 4), True, 1.0, "9" * 5000, "1/" + "9" * 5000,
+]
+
+
 def test_rat_zero_literal_keeps_the_old_rules():
-    zeros = ["0", " 0 ", "-0", "00", "0/5", "0/0", "0.0", "", "0 /5", "+0", 0, False, Fraction(0)]
-    zeros += ["1", "-3/6", "1/0", "x", 1.5, None]
-    # an exact str is tested first; subclasses, other types and every error keep their path
-    class Text(str):
-        pass
-
-    class Ratio(Fraction):
-        pass
-
-    zeros += ["+1", "1_0", " 7 ", "5\n", "\u0663", Text("0"), Text("-4/6"), Text("y"),
-              Ratio(3, 4), True, 1.0, "9" * 5000, "1/" + "9" * 5000]
-    for value in zeros:
+    for value in LITERALS:
         assert _outcome(rat, value) == _outcome(_rat_before_the_zero_literal, value), value
     assert rat("0") is rat("0")  # one shared zero
+
+
+def _pair_outcome(value):
+    try:
+        num, den = _pair(value)
+    except InputError as exc:
+        return "InputError", str(exc)
+    assert den > 0 and math.gcd(num, den) == 1, (value, num, den)
+    return type(num), type(den), Fraction(num, den)
+
+
+def _reference_pair_outcome(value):
+    out = _outcome(_rat_before_the_zero_literal, value)
+    return out if out[0] == "InputError" else (int, int, out[1])
+
+
+# the spellings int() takes that the literal rule does not, and their neighbours
+PLAIN = ["6/-4", "-6/-4", "2/4", " -12/8\t", "1 /2", "1/ 2", " 1/2 ", "1/2/3", "1//2", "/2", "2/",
+         "-/2", "--1", "1/+2", "1/2_0", "\u0663/\u0664", "\uff11\uff12", "\x1c5\x1f", "5\x1c/2",
+         "1/\x1c2", "\u20071", "1\u00a0", "\u00a01/3", "1\u2028", "00/7", "-0/-3", "0/-0"]
+
+
+def test_pair_parser_matches_the_old_rat():
+    for value in LITERALS + PLAIN:
+        assert _pair_outcome(value) == _reference_pair_outcome(value), value
+
+
+_LITERAL_CHARS = "0123456789-+/_ \t\n\x1c\u00a0\u2007\u0663\uff15x."
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.text(alphabet=_LITERAL_CHARS, max_size=9)
+       | st.from_regex(r"\A\s?-?\d{1,4}(/-?\d{1,4})?\s?\Z"))
+def test_pair_parser_matches_the_old_rat_on_drawn_literals(text):
+    assert _pair_outcome(text) == _reference_pair_outcome(text)
+    assert _outcome(rat, text) == _outcome(_rat_before_the_zero_literal, text)
+
+
+def test_render_matches_fraction_text():
+    big = 7 ** 9000
+    for value in (Fraction(0), Fraction(-5), Fraction(6, -4), Fraction(10 ** 40, 3)):
+        assert _render(value.numerator, value.denominator) == str(value)
+    assert _render(big, 1) == rat_str(big) and _render(-1, big) == rat_str(Fraction(-1, big))
 
 
 def test_rat_str_canonical():

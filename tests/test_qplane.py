@@ -169,7 +169,7 @@ def test_format_qpoly():
 
 
 def test_eval_functional():
-    table = BiSequence.from_function(lambda m, n: 10 * m + n, 3, 3)
+    table = BiSequence(3, 3, [[10 * m + n for n in range(4)] for m in range(4)])
     assert eval_functional(table, mono(P21, 2, 3)) == 23
     assert eval_functional(table, "yyyxx", params=P21) == 2 ** 6 * 23
     p = QPoly(P21, {(1, 0): 2, (0, 1): 3})

@@ -32,6 +32,15 @@ def ones_boundary(r, s, M, N):
     return {(m, n): 1 for m in range(M + 1) for n in range(N + 1) if m < r or n < s}
 
 
+def table_of(fn, M, N):
+    """The table fn(m, n) for 0 <= m <= M, 0 <= n <= N."""
+    return BiSequence(M, N, [[fn(m, n) for n in range(N + 1)] for m in range(M + 1)])
+
+
+def constant_table(value, M, N):
+    return table_of(lambda m, n: value, M, N)
+
+
 def delannoy_table(M, N):
     return generate_sequence(DELANNOY_H, 1, 1, ones_boundary(1, 1, M, N), M, N)
 
@@ -60,10 +69,30 @@ def test_bisequence_validation():
         BiSequence(1, 1, [[1, 2]])
     with pytest.raises(InputError):
         BiSequence(1, 1, [[1, 2], [3]])
-    t = BiSequence.from_function(lambda m, n: m * n, 2, 3)
+    t = table_of(lambda m, n: m * n, 2, 3)
     assert t.entry(2, 3) == 6
     with pytest.raises(InputError):
         t.entry(3, 0)
+
+
+def assert_canonical(table):
+    """Reduced integer rows with positive denominators, and grid their Fraction view."""
+    for top, bottom in zip(table.nums, table.dens):
+        assert all(type(a) is int and type(b) is int and b > 0 and math.gcd(a, b) == 1
+                   for a, b in zip(top, bottom))
+    want = tuple(tuple(Fraction(a, b) for a, b in zip(top, bottom))
+                 for top, bottom in zip(table.nums, table.dens))
+    assert type(table.grid) is tuple and table.grid == want
+    assert all(type(row) is tuple and all(type(v) is Fraction for v in row) for row in table.grid)
+
+
+def test_bisequence_holds_reduced_pairs_of_its_literals():
+    rows = [["2/4", "-0", "6/-4", " 7 "], ["\u0663", Fraction(3, 9), -12, "-10/-4"]]
+    t = BiSequence(1, 3, rows)
+    assert t.nums == ((1, 0, -3, 7), (3, 1, -12, 5)) and t.dens == ((2, 1, 2, 1), (1, 3, 1, 2))
+    assert t.grid == tuple(tuple(rat(v) for v in row) for row in rows)
+    assert_canonical(t)
+    assert t == BiSequence(1, 3, t.grid) and t != BiSequence(1, 3, [[0] * 4, [0] * 4])
 
 
 # -------------------------------------------------------------- generation
@@ -108,7 +137,7 @@ def test_boundary_shapes():
     bd_rows = [[1, 1, 1], [1, None, None], [1, None, None]]
     t = generate_sequence(DELANNOY_H, 1, 1, bd_rows, 2, 2)
     assert t.entry(2, 2) == 13
-    bd_table = BiSequence.constant(1, 2, 2)
+    bd_table = constant_table(1, 2, 2)
     t2 = generate_sequence(DELANNOY_H, 1, 1, bd_table, 2, 2)
     assert t2.entry(2, 2) == 13
 
@@ -125,7 +154,7 @@ def reference_generate_sequence(h, case, q, boundary, M, N):
     for m in range(M + 1):
         for n in range(N + 1):
             if m < h.r or n < h.s:
-                grid[m][n] = recseq._boundary_value(boundary, m, n)
+                grid[m][n] = Fraction(*recseq._boundary_pair(boundary, m, n))
                 continue
             total = Fraction(0)
             for (i, j), val in h.coeffs.items():
@@ -159,7 +188,7 @@ def test_generate_sequence_matches_fraction_fill():
                 want = reference_generate_sequence(h, case, q, boundary, M, N)
                 got = generate_sequence(h, case, q, boundary, M, N)
                 assert got == want
-                assert all(type(v) is Fraction for row in got.grid for v in row)
+                assert_canonical(got)  # q < 0 gives negative raw denominators
                 compared += 1
         # every refusal keeps its type, message and order
         last = (M, 0) if h.s else (h.r - 1, N)
@@ -250,7 +279,7 @@ def oracle_inputs():
         coeffs = {(i, j): rng.choice(values) for i in range(r + 1) for j in range(s + 1)
                   if (i, j) != (0, 0)}
         M, N = r + rng.randint(0, 3), s + rng.randint(0, 3)
-        yield BiPoly(r, s, coeffs), BiSequence.from_function(lambda m, n: rng.choice(values), M, N)
+        yield BiPoly(r, s, coeffs), table_of(lambda m, n: rng.choice(values), M, N)
 
 
 def test_residual_batch_matches_expanded_products():
@@ -278,7 +307,7 @@ def test_residual_batch_matches_expanded_products():
 
 
 def test_residual_errors_come_in_the_order_of_the_expanded_products():
-    h, table = BiPoly(1, 1, {(1, 1): 2}), BiSequence.constant(Fraction(1, 3), 3, 3)
+    h, table = BiPoly(1, 1, {(1, 1): 2}), constant_table(Fraction(1, 3), 3, 3)
     for q, k, case, m, n in ((0, 1, 9, 0, 0), (1, 0, 9, 0, 0), ("x", 0, 1, 1, 1),
                              (1, "1/0", 1, 1, 1), (1, 1, 9, 0, 0), (1, 1, 2, 0, 9),
                              (1, 1, 3, 4, 4), (1, 1, 1, 9, 0)):
@@ -367,8 +396,8 @@ def test_stencil_apply():
 
 
 def test_convolution_all_ones_doubling():
-    f = BiSequence.constant(1, 11, 5)
-    g = BiSequence.constant(1, 5, 5)
+    f = constant_table(1, 11, 5)
+    g = constant_table(1, 5, 5)
     h = quantum_convolution(f, g, 1, 5, 5)
     for m in range(6):
         for n in range(6):
@@ -379,7 +408,7 @@ def test_convolution_bilinear():
     rng = random.Random(20260815)
 
     def rand_table(M, N):
-        return BiSequence.from_function(
+        return table_of(
             lambda m, n: Fraction(rng.randint(-4, 4)), M, N
         )
 
@@ -389,7 +418,7 @@ def test_convolution_bilinear():
         f2 = rand_table(6, 3)
         g = rand_table(3, 3)
         lhs = quantum_convolution(
-            BiSequence.from_function(lambda m, n: f1.entry(m, n) + f2.entry(m, n), 6, 3),
+            table_of(lambda m, n: f1.entry(m, n) + f2.entry(m, n), 6, 3),
             g, q, 3, 3,
         )
         h1 = quantum_convolution(f1, g, q, 3, 3)
@@ -398,7 +427,7 @@ def test_convolution_bilinear():
             for n in range(4):
                 assert lhs.entry(m, n) == h1.entry(m, n) + h2.entry(m, n)
         scaled = quantum_convolution(
-            f1, BiSequence.from_function(lambda m, n: 3 * g.entry(m, n), 3, 3), q, 3, 3
+            f1, table_of(lambda m, n: 3 * g.entry(m, n), 3, 3), q, 3, 3
         )
         for m in range(4):
             for n in range(4):
@@ -407,8 +436,8 @@ def test_convolution_bilinear():
 
 def test_convolution_column_indicator():
     rng = random.Random(20260815)
-    f = BiSequence.from_function(lambda m, n: Fraction(rng.randint(-9, 9)), 6, 3)
-    indicator = BiSequence.from_function(lambda m, n: Fraction(int(n == 0)), 3, 3)
+    f = table_of(lambda m, n: Fraction(rng.randint(-9, 9)), 6, 3)
+    indicator = table_of(lambda m, n: Fraction(int(n == 0)), 3, 3)
     h = quantum_convolution(f, indicator, 2, 3, 3)
     for m in range(4):
         assert h.entry(m, 0) == f.entry(m, 0) * indicator.entry(m, 0)
@@ -418,11 +447,11 @@ def test_convolution_column_indicator():
 
 def test_convolution_shape_errors():
     with pytest.raises(InputError):
-        quantum_convolution(BiSequence.constant(1, 4, 3), BiSequence.constant(1, 3, 3), 1, 3, 3)
+        quantum_convolution(constant_table(1, 4, 3), constant_table(1, 3, 3), 1, 3, 3)
     with pytest.raises(InputError):
-        quantum_convolution(BiSequence.constant(1, 6, 3), BiSequence.constant(1, 2, 3), 1, 3, 3)
+        quantum_convolution(constant_table(1, 6, 3), constant_table(1, 2, 3), 1, 3, 3)
     with pytest.raises(InputError):
-        quantum_convolution(BiSequence.constant(1, 6, 3), BiSequence.constant(1, 3, 3), 0, 3, 3)
+        quantum_convolution(constant_table(1, 6, 3), constant_table(1, 3, 3), 0, 3, 3)
 
 
 def reference_convolution(f, g, q, M, N):
@@ -445,14 +474,14 @@ def test_convolution_matches_fraction_sum():
     values = (0, 0, 1, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4), Fraction(2, 9))
 
     def table(M, N):
-        return BiSequence.from_function(lambda m, n: rng.choice(values), M, N)
+        return table_of(lambda m, n: rng.choice(values), M, N)
 
     for M, N in ((0, 0), (0, 4), (3, 0), (2, 2), (5, 3), (3, 6)):
         f, g = table(M + N + rng.randint(0, 1), N), table(M, N + rng.randint(0, 1))
         for q in FILL_QS:
             got = quantum_convolution(f, g, q, M, N)
             assert got == reference_convolution(f, g, q, M, N)
-            assert all(type(v) is Fraction for row in got.grid for v in row)
+            assert_canonical(got)
         for q, rows, cols in ((0, M, N), ("1/0", M, N), (2, M + 1, N), (2, M, N + 2), (0, M + 9, N)):
             assert outcome(lambda: quantum_convolution(f, g, q, rows, cols)) == outcome(
                 lambda: reference_convolution(f, g, q, rows, cols)
@@ -463,7 +492,7 @@ def test_convolution_matches_fraction_sum():
 
 
 def test_minimal_bipoly_all_ones():
-    found = minimal_bipoly(BiSequence.constant(1, 6, 6), 2, 2)
+    found = minimal_bipoly(constant_table(1, 6, 6), 2, 2)
     assert found is not None
     r, s, h = found
     assert (r, s) == (0, 1)
@@ -471,7 +500,7 @@ def test_minimal_bipoly_all_ones():
 
 
 def test_minimal_bipoly_linear_table():
-    table = BiSequence.from_function(lambda m, n: Fraction(m + n), 6, 6)
+    table = table_of(lambda m, n: Fraction(m + n), 6, 6)
     r, s, h = minimal_bipoly(table, 2, 2)
     assert (r, s) == (0, 2)
     assert h.coeffs == {(0, 1): 2, (0, 2): -1}
@@ -485,7 +514,7 @@ def test_minimal_bipoly_delannoy():
 
 
 def test_minimal_bipoly_zero_table():
-    r, s, h = minimal_bipoly(BiSequence.constant(0, 4, 4), 2, 2)
+    r, s, h = minimal_bipoly(constant_table(0, 4, 4), 2, 2)
     assert (r, s) == (0, 0)
     assert h.coeffs == {}
 
@@ -523,11 +552,11 @@ def test_minimal_bipoly_round_trip():
 
 def test_minimal_bipoly_too_small():
     with pytest.raises(InputError):
-        minimal_bipoly(BiSequence.constant(1, 3, 3), 2, 2)
+        minimal_bipoly(constant_table(1, 3, 3), 2, 2)
 
 
 def test_minimal_bipoly_rejects_negative_bounds():
-    table = BiSequence.constant(1, 5, 5)
+    table = constant_table(1, 5, 5)
     for rmax, smax in ((-1, 1), (1, -1), (-3, 5)):
         with pytest.raises(InputError, match="nonnegative"):
             minimal_bipoly(table, rmax, smax)
@@ -535,7 +564,7 @@ def test_minimal_bipoly_rejects_negative_bounds():
 
 def test_minimal_bipoly_none_when_out_of_reach():
     # factorial growth in both directions defeats bidegree (1, 1)
-    table = BiSequence.from_function(
+    table = table_of(
         lambda m, n: Fraction(math.factorial(m + n) * math.factorial(m)), 4, 4
     )
     assert minimal_bipoly(table, 1, 1) is None
@@ -555,7 +584,7 @@ def test_row_minimal_polys_delannoy():
 
 
 def test_row_minimal_polys_geometric_row():
-    table = BiSequence.from_function(lambda m, n: Fraction(2) ** m, 6, 3)
+    table = table_of(lambda m, n: Fraction(2) ** m, 6, 3)
     xs, _ = row_minimal_polys(table, max_degree=2)
     assert all(format_unipoly(p) == "x - 2" for p in xs)
 
@@ -564,13 +593,13 @@ def test_row_minimal_polys_fibonacci_row():
     fib = [1, 1]
     while len(fib) < 9:
         fib.append(fib[-1] + fib[-2])
-    table = BiSequence.from_function(lambda m, n: Fraction(fib[m]), 8, 3)
+    table = table_of(lambda m, n: Fraction(fib[m]), 8, 3)
     xs, _ = row_minimal_polys(table, max_degree=2)
     assert all(format_unipoly(p) == "x^2 - x - 1" for p in xs)
 
 
 def test_row_minimal_polys_zero_row():
-    table = BiSequence.constant(0, 4, 2)
+    table = constant_table(0, 4, 2)
     xs, ys = row_minimal_polys(table)
     assert all(p == UniPoly(0, []) for p in xs)
     assert format_unipoly(xs[0]) == "1"
@@ -578,9 +607,9 @@ def test_row_minimal_polys_zero_row():
 
 def test_row_minimal_polys_bound_errors():
     with pytest.raises(InputError):
-        row_minimal_polys(BiSequence.constant(1, 3, 3), max_degree=4)
+        row_minimal_polys(constant_table(1, 3, 3), max_degree=4)
     with pytest.raises(InputError, match="nonnegative"):
-        row_minimal_polys(BiSequence.constant(1, 3, 3), max_degree=-1)
+        row_minimal_polys(constant_table(1, 3, 3), max_degree=-1)
 
 
 # ------------------------------------------- differential: the exact solvers
@@ -631,7 +660,7 @@ def test_row_annihilators_match_kernel_search():
     compared = hits = 0
     for length in range(1, 13):
         for kind, seqs in sequence_families(rng, length).items():
-            table = BiSequence.from_function(lambda m, n: seqs[n][m], length - 1, length - 1)
+            table = table_of(lambda m, n: seqs[n][m], length - 1, length - 1)
             rows = [[seqs[n][m] for n in range(length)] for m in range(length)]
             refs = [kernel_min_univariate(seq, length // 2) for seq in seqs + rows]
             for dmax in range(length // 2 + 1):
@@ -659,7 +688,7 @@ def differential_tables():
     """Sparse 0/1 tables and tables with low-bidegree annihilators, 9 x 9."""
     rng = random.Random(20261018)
     for density in (0.05, 0.1, 0.2, 0.3):
-        yield BiSequence.from_function(lambda m, n: int(rng.random() < density), 8, 8)
+        yield table_of(lambda m, n: int(rng.random() < density), 8, 8)
     for r, s in ((1, 1), (0, 2), (2, 1), (1, 2)):
         coeffs = {(i, j): rng.choice((-1, 1, 2, Fraction(1, 2)))
                   for i in range(r + 1) for j in range(s + 1) if (i, j) != (0, 0)}
@@ -767,8 +796,8 @@ def test_qpascal_paths_match_per_entry_recurrence():
             assert quantum_binomial_expand(n, params).terms == want
         for M in (0, 2, 4):
             for N in (0, 1, 5, 9):
-                f = BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M + N, N)
-                g = BiSequence.from_function(lambda m, n: rng.randint(-4, 4), M, N)
+                f = table_of(lambda m, n: rng.randint(-4, 4), M + N, N)
+                g = table_of(lambda m, n: rng.randint(-4, 4), M, N)
                 want = [
                     [
                         sum(binom(n, t) * f.entry(m + t, n - t) * g.entry(m, t) for t in range(n + 1))
