@@ -1514,6 +1514,157 @@ def _report_text_cases(cases):
         "--functional", REPORT_TEXT)
 
 
+# ------------------------------------------------------- large and cancelling
+
+
+def _large_algebras():
+    """{label: algebra}: dim-25 to dim-36 quotient algebras of every family."""
+    return {
+        "qplane-R5-S5": make_qplane_quotient(5, 5, Fraction(5, 3), Fraction(-1, 2)),
+        "qplane-R4-S4": make_qplane_quotient(4, 4, -1, 2),
+        "poly-N29": make_poly_quotient(29, Fraction(2, 3)),
+        "tensor-a2-n4": make_tensor_quotient(2, 4, (Fraction(1, 2), -3)),
+    }
+
+
+def _one_mutant(kind, s, rng, nonzero):
+    """One constant of the table changed: an existing one (nonzero) or one drawn at random."""
+    if kind == "algebra":
+        cells = [(i, j, k) for (i, j), vec in sorted(s.mul.items()) for k in sorted(vec)]
+        edit, n = s.with_mul_entry, s.dim
+        old = lambda i, j, k: s.mul.get((i, j), {}).get(k, 0)
+    elif kind == "coalgebra":
+        cells = [(k, i, j) for k, plane in sorted(s.comul.items()) for (i, j) in sorted(plane)]
+        edit, n = s.with_comul_entry, s.dim
+        old = lambda k, i, j: s.comul.get(k, {}).get((i, j), 0)
+    elif kind == "module":
+        cells = [(a, i, b) for (a, i), vec in sorted(s.action.items()) for b in sorted(vec)]
+        edit, n = s.with_action_entry, min(s.mdim, s.algebra.dim)
+        old = lambda a, i, b: s.action.get((a, i), {}).get(b, 0)
+    else:
+        cells = [(a, b, i) for a, plane in sorted(s.coaction.items()) for (b, i) in sorted(plane)]
+        edit, n = s.with_coaction_entry, min(s.mdim, s.coalgebra.dim)
+        old = lambda a, b, i: s.coaction.get(a, {}).get((b, i), 0)
+    at = rng.choice(cells[:40]) if nonzero else tuple(rng.randrange(n) for _ in range(3))
+    return edit(*at, old(*at) + rng.choice(BUMPS))
+
+
+def _large_structure_cases(cases):
+    """verify and dualize at dim 25 to 36, each structure also with one mutated constant."""
+    for name, quo in _large_algebras().items():
+        alg = quo.as_hom_algebra()
+        module = regular_module(alg)
+        structures = {
+            "algebra": alg,
+            "coalgebra": dualize_algebra(alg),
+            "module": module,
+            "comodule": dualize_module(module),
+        }
+        rng = random.Random("large/" + name)
+        for kind, structure in structures.items():
+            prefix = "large/%s/%s" % (name, kind)
+            _verify_cases(cases, prefix, kind, structure)
+            for label, nonzero in (("mutant-nonzero", True), ("mutant-random", False)):
+                mutant = _one_mutant(kind, structure, rng, nonzero)
+                _verify_cases(cases, "%s/%s" % (prefix, label), kind, mutant)
+                if kind == "algebra":
+                    cases["%s/%s/dualize" % (prefix, label)] = (
+                        lambda mutant=mutant: documents.coalgebra_doc(dualize_algebra(mutant))
+                    )
+                elif kind == "module":
+                    cases["%s/%s/dualize" % (prefix, label)] = (
+                        lambda mutant=mutant: documents.comodule_doc(dualize_module(mutant))
+                    )
+        n = alg.dim
+        bumped = _bumped_map(LinearMapCandidate(n, n, Matrix.identity(n)), rng)
+        dual = structures["coalgebra"]
+        cases["large/%s/morphism-bumped/algebra" % name] = lambda alg=alg, bumped=bumped: _report(
+            check_algebra_morphism(alg, alg, bumped)
+        )
+        cases["large/%s/morphism-bumped/coalgebra" % name] = (
+            lambda dual=dual, bumped=bumped: _report(
+                check_coalgebra_morphism(dual, dual, dualize_algebra_morphism(bumped))
+            )
+        )
+    quo = _large_algebras()["qplane-R5-S5"]
+    rng = random.Random("large-cli")
+    alg = _one_mutant("algebra", quo.as_hom_algebra(), rng, True)
+    module = _one_mutant("module", regular_module(quo.as_hom_algebra()), rng, True)
+    docs = {
+        "a.json": documents.algebra_doc(alg),
+        "c.json": documents.coalgebra_doc(dualize_algebra(alg)),
+        "m.json": documents.module_doc(module),
+        "cm.json": documents.comodule_doc(dualize_module(module)),
+    }
+    for doc in docs:
+        cases["large/cli/verify/" + doc] = lambda doc=doc: _cli_documents(docs, "verify", doc)
+    for doc in ("a.json", "m.json"):
+        cases["large/cli/dualize/" + doc] = lambda doc=doc: _cli_documents(docs, "dualize", doc)
+
+
+def _cancelling_algebra(rng, dim):
+    """Rows 1 and 2 and columns 1 and 2 of the product equal, twist columns e_1 - e_2 and e_0.
+
+    Every side that contracts e_1 - e_2 against the product cancels to zero on
+    tuples the sweeps still visit, so some suffixes of a block cancel.
+    """
+    vec = lambda: {k: _rational(rng, (1, 2, 3)) for k in range(dim) if rng.random() < 0.6}
+    mul = {}
+    for i in range(dim):
+        for j in range(dim):
+            a, b = (1 if i == 2 else i), (1 if j == 2 else j)
+            if (a, b) not in mul:
+                mul[(a, b)] = vec()
+            mul[(i, j)] = dict(mul[(a, b)])
+    rows = [[0] * dim for _ in range(dim)]
+    rows[1][0], rows[2][0] = 1, -1
+    rows[0][1] = 1
+    for j in range(2, dim):
+        for i in range(dim):
+            rows[i][j] = _rational(rng, (1, 5)) if rng.random() < 0.5 else 0
+    rows[1][dim - 1], rows[2][dim - 1] = Fraction(1, 3), Fraction(-1, 3)
+    return FiniteHomAlgebra(dim, mul, Matrix(rows, cols=dim))
+
+
+def _cancelling_cases(cases):
+    """Structures whose block sides cancel to zero on some swept suffixes, and their mutants."""
+    for dim in (3, 4, 5):
+        rng = random.Random("cancelling/%d" % dim)
+        alg = _cancelling_algebra(rng, dim)
+        zero_cols = FiniteHomAlgebra(
+            dim, alg.mul, Matrix([[x if j % 2 else 0 for j, x in enumerate(row)]
+                                  for row in alg.twist.entries], cols=dim)
+        )
+        for label, base in (("twist", alg), ("zero-columns", zero_cols)):
+            module = FiniteHomModule(base, dim, base.mul, base.twist)
+            structures = {
+                "algebra": base,
+                "coalgebra": dualize_algebra(base),
+                "module": module,
+                "comodule": dualize_module(module),
+            }
+            for kind, structure in structures.items():
+                prefix = "cancelling/d%d/%s/%s" % (dim, label, kind)
+                _verify_cases(cases, prefix, kind, structure)
+                mutant = _one_mutant(kind, structure, rng, True)
+                _verify_cases(cases, prefix + "/mutant", kind, mutant)
+            cand = LinearMapCandidate(dim, dim, base.twist)
+            dual, comodule = structures["coalgebra"], structures["comodule"]
+            prefix = "cancelling/d%d/%s/morphism-twist" % (dim, label)
+            cases[prefix + "/algebra"] = lambda base=base, cand=cand: _report(
+                check_algebra_morphism(base, base, cand)
+            )
+            cases[prefix + "/coalgebra"] = lambda dual=dual, cand=cand: _report(
+                check_coalgebra_morphism(dual, dual, dualize_algebra_morphism(cand))
+            )
+            cases[prefix + "/module"] = lambda module=module, cand=cand: _report(
+                check_module_morphism(module, module, cand)
+            )
+            cases[prefix + "/comodule"] = lambda comodule=comodule, cand=cand: _report(
+                check_comodule_morphism(comodule, comodule, dualize_module_morphism(cand))
+            )
+
+
 def cases():
     """Ordered {case name: thunk returning a JSON-ready value}."""
     out = {}
@@ -1538,6 +1689,8 @@ def cases():
     _digit_limit_cases(out)
     _argparse_cases(out)
     _report_text_cases(out)
+    _large_structure_cases(out)
+    _cancelling_cases(out)
     return out
 
 
