@@ -145,16 +145,16 @@ def _rat_arg(text):
 def _verify_document(doc):
     """Route a parsed document to its verifier; returns an AxiomReport."""
     kind = documents.document_kind(doc)
-    if kind == "hom-algebra":
-        return verify_hom_algebra(documents.load_algebra(doc))
-    if kind == "hom-coalgebra":
-        return verify_hom_coalgebra(documents.load_coalgebra(doc))
-    if kind == "hom-module":
-        return verify_hom_module(documents.load_module(doc))
-    if kind == "hom-comodule":
-        return verify_hom_comodule(documents.load_comodule(doc))
-    if kind == "quotient":
-        return verify_quotient(documents.load_quotient(doc))
+    checks = {  # kind -> (loader, verifier), looked up per call
+        "hom-algebra": (documents.load_algebra, verify_hom_algebra),
+        "hom-coalgebra": (documents.load_coalgebra, verify_hom_coalgebra),
+        "hom-module": (documents.load_module, verify_hom_module),
+        "hom-comodule": (documents.load_comodule, verify_hom_comodule),
+        "quotient": (documents.load_quotient, verify_quotient),
+    }
+    if kind in checks:
+        load, verify = checks[kind]
+        return verify(load(doc))
     if kind == "morphism":
         structure, source, target, candidate = documents.load_morphism(doc)
         checker = {
@@ -222,18 +222,17 @@ def cmd_verify(args, argv):
 def cmd_dualize(args, argv):
     doc = _load_json(args.file)
     kind = documents.document_kind(doc)
-    if kind == "hom-algebra":
-        result = documents.coalgebra_doc(dualize_algebra(documents.load_algebra(doc)))
-    elif kind == "quotient":
-        result = documents.coalgebra_doc(
-            quotient_dual_coalgebra(documents.load_quotient(doc))
-        )
-    elif kind == "hom-module":
-        result = documents.comodule_doc(dualize_module(documents.load_module(doc)))
-    else:
+    duals = {  # kind -> (loader, dual, writer), looked up per call
+        "hom-algebra": (documents.load_algebra, dualize_algebra, documents.coalgebra_doc),
+        "quotient": (documents.load_quotient, quotient_dual_coalgebra, documents.coalgebra_doc),
+        "hom-module": (documents.load_module, dualize_module, documents.comodule_doc),
+    }
+    if kind not in duals:
         raise InputError(
             "dualize handles kinds hom-algebra, quotient and hom-module, not %r" % kind
         )
+    load, dual, write = duals[kind]
+    result = write(dual(load(doc)))
     _emit({"command": argv, "status": "pass", "result": result})
     return 0
 

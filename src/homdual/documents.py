@@ -9,13 +9,14 @@ back to equal structures.
 from fractions import Fraction
 
 from .errors import InputError
-from .exact_math import Matrix, _render, rat, rat_str
+from .exact_math import _ZERO, _render, rat, rat_str
 from .homalg_core import (
     FiniteHomAlgebra,
     FiniteHomCoalgebra,
     FiniteHomComodule,
     FiniteHomModule,
     LinearMapCandidate,
+    _Cols,
     _ints,
 )
 from .recseq import BiPoly, BiSequence
@@ -56,17 +57,43 @@ def _rat_field(doc, field, kind):
         raise InputError("%s document: field '%s' is not a rational" % (kind, field))
 
 
+def _lists(value):
+    """Whether value is a JSON list of JSON lists: a string is no row."""
+    return isinstance(value, list) and all(isinstance(row, list) for row in value)
+
+
 def _matrix_field(doc, field, kind, rows, cols):
+    """The field's rows of rationals as sparse columns, checked to be rows x cols."""
     value = _need(doc, field, kind)
     try:
-        m = Matrix(value, cols=cols if not value else None)
-    except (InputError, TypeError):
+        if not _lists(value):
+            raise InputError("not a list of rows")
+        width = len(value[0]) if value else cols
+        columns = [{} for _ in range(width)]
+        for i, row in enumerate(value):
+            if len(row) != width:
+                raise InputError("ragged matrix rows")
+            for j, v in enumerate(row):
+                if v != "0":  # the commonest entry, zero, is skipped before coercion
+                    v = rat(v)
+                    if v:
+                        columns[j][i] = v
+    except InputError:
         raise InputError("%s document: field '%s' is not a rational matrix" % (kind, field))
-    if m.rows != rows or m.cols != cols:
+    if len(value) != rows or width != cols:
         raise InputError(
             "%s document: field '%s' must be %dx%d" % (kind, field, rows, cols)
         )
-    return m
+    return _Cols(rows, columns)
+
+
+def _text_rows(cols):
+    """The rows of a matrix given by its sparse columns, as canonical text."""
+    rows = [["0"] * len(cols) for _ in range(cols.rows)]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = rat_str(v)
+    return rows
 
 
 def document_kind(doc):
@@ -79,163 +106,122 @@ def document_kind(doc):
 
 
 def _triples_to_constants(value, kind, field):
-    if not isinstance(value, list):
-        raise InputError("%s document: field '%s' must be a list" % (kind, field))
     where = "%s document: field '%s'" % (kind, field)
+    if not isinstance(value, list):
+        raise InputError("%s must be a list" % where)
     table = {}
     for item in value:
         if not (isinstance(item, list) and len(item) == 3):
-            raise InputError(
-                "%s document: field '%s' entries must be [i, j, coefficient-vector]"
-                % (kind, field)
-            )
+            raise InputError("%s entries must be [i, j, coefficient-vector]" % where)
         i, j, vec = item
         _ints(where, i, j)
+        if (i, j) in table:
+            raise InputError("%s repeats entry (%d, %d)" % (where, i, j))
         try:
+            if not isinstance(vec, list):
+                raise InputError("not a list")
             # the literal "0", most of a dense vector, is dropped before coercion
             table[(i, j)] = {k: rat(v) for k, v in enumerate(vec) if v != "0"}
-        except (InputError, TypeError):
-            raise InputError(
-                "%s document: field '%s' entry (%s, %s) has a bad coefficient vector"
-                % (kind, field, i, j)
-            )
+        except InputError:
+            raise InputError("%s entry (%s, %s) has a bad coefficient vector" % (where, i, j))
     return table
 
 
 def _pairs_to_split(value, kind, field):
+    where = "%s document: field '%s'" % (kind, field)
     if not isinstance(value, list):
-        raise InputError("%s document: field '%s' must be a list" % (kind, field))
-    table = {}
+        raise InputError("%s must be a list" % where)
     for item in value:
         if not (isinstance(item, list) and len(item) == 2 and isinstance(item[1], list)):
-            raise InputError(
-                "%s document: field '%s' entries must be [index, [[a, b, coeff], ...]]"
-                % (kind, field)
-            )
-    where = "%s document: field '%s'" % (kind, field)
+            raise InputError("%s entries must be [index, [[a, b, coeff], ...]]" % where)
+    table = {}
     for source, cells in value:
         _ints(where, source)
-        plane = {}
+        plane = table.setdefault(source, {})
         for cell in cells:
             if not (isinstance(cell, list) and len(cell) == 3):
-                raise InputError(
-                    "%s document: field '%s' cells must be [a, b, coeff]" % (kind, field)
-                )
+                raise InputError("%s cells must be [a, b, coeff]" % where)
             a, b, coeff = cell
             _ints(where, source, a, b)
+            if (a, b) in plane:
+                raise InputError("%s repeats cell (%d, %d, %d)" % (where, source, a, b))
             try:
                 plane[(a, b)] = rat(coeff)
             except InputError:
-                raise InputError(
-                    "%s document: field '%s' cell (%s, %s) has a bad coefficient"
-                    % (kind, field, a, b)
-                )
-        table[source] = plane
+                raise InputError("%s cell (%s, %s) has a bad coefficient" % (where, a, b))
     return table
 
 
-def load_algebra(doc):
-    dim = _int_field(doc, "dim", "hom-algebra", minimum=1)
-    mul = _triples_to_constants(_need(doc, "mul", "hom-algebra"), "hom-algebra", "mul")
-    twist = _matrix_field(doc, "twist", "hom-algebra", dim, dim)
+# kind -> (class, base structure field, size field, table field, twist field)
+_STRUCTURES = {
+    "hom-algebra": (FiniteHomAlgebra, None, "dim", "mul", "twist"),
+    "hom-coalgebra": (FiniteHomCoalgebra, None, "dim", "comul", "twist"),
+    "hom-module": (FiniteHomModule, "algebra", "mdim", "action", "mtwist"),
+    "hom-comodule": (FiniteHomComodule, "coalgebra", "mdim", "coaction", "mtwist"),
+}
+
+
+def _load_structure(doc, kind):
+    """A structure document's fields in order: base structure, size, table, twist."""
+    cls, base, size, table, twist = _STRUCTURES[kind]
+    args = []
+    if base:
+        args.append((load_algebra if base == "algebra" else load_coalgebra)(_need(doc, base, kind)))
+    n = _int_field(doc, size, kind, minimum=1)
+    parse = _pairs_to_split if cls._dual else _triples_to_constants
+    args += [n, parse(_need(doc, table, kind), kind, table), _matrix_field(doc, twist, kind, n, n)]
     try:
-        return FiniteHomAlgebra(dim, mul, twist)
+        return cls(*args)
     except InputError as exc:
-        raise InputError("hom-algebra document: %s" % exc)
+        raise InputError("%s document: %s" % (kind, exc))
+
+
+def _structure_doc(s, kind):
+    cls, base, size, table, twist = _STRUCTURES[kind]
+    n, constants = getattr(s, size), getattr(s, table)
+    doc = {"kind": kind}
+    if base:
+        doc[base] = (algebra_doc if base == "algebra" else coalgebra_doc)(getattr(s, base))
+    if cls._dual:  # {k: {(a, b): c}} as [k, [[a, b, c], ...]]
+        rows = [[k, [[a, b, rat_str(c)] for (a, b), c in sorted(constants[k].items())]]
+                for k in sorted(constants)]
+    else:  # {(i, j): {k: c}} as [i, j, dense vector over k]
+        rows = [[i, j, [rat_str(constants[i, j].get(k, _ZERO)) for k in range(n)]]
+                for i, j in sorted(constants)]
+    doc.update({size: n, table: rows, twist: _text_rows(s._tcols)})
+    return doc
+
+
+def load_algebra(doc):
+    return _load_structure(doc, "hom-algebra")
 
 
 def algebra_doc(algebra):
-    mul = []
-    for (i, j) in sorted(algebra.mul):
-        vec = algebra.mul[(i, j)]
-        dense = [rat_str(vec.get(k, Fraction(0))) for k in range(algebra.dim)]
-        mul.append([i, j, dense])
-    return {
-        "kind": "hom-algebra",
-        "dim": algebra.dim,
-        "mul": mul,
-        "twist": matrix_rows(algebra.twist),
-    }
+    return _structure_doc(algebra, "hom-algebra")
 
 
 def load_coalgebra(doc):
-    dim = _int_field(doc, "dim", "hom-coalgebra", minimum=1)
-    comul = _pairs_to_split(_need(doc, "comul", "hom-coalgebra"), "hom-coalgebra", "comul")
-    twist = _matrix_field(doc, "twist", "hom-coalgebra", dim, dim)
-    try:
-        return FiniteHomCoalgebra(dim, comul, twist)
-    except InputError as exc:
-        raise InputError("hom-coalgebra document: %s" % exc)
+    return _load_structure(doc, "hom-coalgebra")
 
 
 def coalgebra_doc(coalgebra):
-    comul = []
-    for k in sorted(coalgebra.comul):
-        cells = [
-            [i, j, rat_str(c)] for (i, j), c in sorted(coalgebra.comul[k].items())
-        ]
-        comul.append([k, cells])
-    return {
-        "kind": "hom-coalgebra",
-        "dim": coalgebra.dim,
-        "comul": comul,
-        "twist": matrix_rows(coalgebra.twist),
-    }
+    return _structure_doc(coalgebra, "hom-coalgebra")
 
 
 def load_module(doc):
-    algebra = load_algebra(_need(doc, "algebra", "hom-module"))
-    mdim = _int_field(doc, "mdim", "hom-module", minimum=1)
-    action = _triples_to_constants(_need(doc, "action", "hom-module"), "hom-module", "action")
-    mtwist = _matrix_field(doc, "mtwist", "hom-module", mdim, mdim)
-    try:
-        return FiniteHomModule(algebra, mdim, action, mtwist)
-    except InputError as exc:
-        raise InputError("hom-module document: %s" % exc)
+    return _load_structure(doc, "hom-module")
 
 
 def module_doc(module):
-    action = []
-    for (a, i) in sorted(module.action):
-        vec = module.action[(a, i)]
-        dense = [rat_str(vec.get(b, Fraction(0))) for b in range(module.mdim)]
-        action.append([a, i, dense])
-    return {
-        "kind": "hom-module",
-        "algebra": algebra_doc(module.algebra),
-        "mdim": module.mdim,
-        "action": action,
-        "mtwist": matrix_rows(module.mtwist),
-    }
+    return _structure_doc(module, "hom-module")
 
 
 def load_comodule(doc):
-    coalgebra = load_coalgebra(_need(doc, "coalgebra", "hom-comodule"))
-    mdim = _int_field(doc, "mdim", "hom-comodule", minimum=1)
-    coaction = _pairs_to_split(
-        _need(doc, "coaction", "hom-comodule"), "hom-comodule", "coaction"
-    )
-    mtwist = _matrix_field(doc, "mtwist", "hom-comodule", mdim, mdim)
-    try:
-        return FiniteHomComodule(coalgebra, mdim, coaction, mtwist)
-    except InputError as exc:
-        raise InputError("hom-comodule document: %s" % exc)
+    return _load_structure(doc, "hom-comodule")
 
 
 def comodule_doc(comodule):
-    coaction = []
-    for a in sorted(comodule.coaction):
-        cells = [
-            [b, i, rat_str(c)] for (b, i), c in sorted(comodule.coaction[a].items())
-        ]
-        coaction.append([a, cells])
-    return {
-        "kind": "hom-comodule",
-        "coalgebra": coalgebra_doc(comodule.coalgebra),
-        "mdim": comodule.mdim,
-        "coaction": coaction,
-        "mtwist": matrix_rows(comodule.mtwist),
-    }
+    return _structure_doc(comodule, "hom-comodule")
 
 
 def _rationals_field(doc, field, kind):
@@ -324,6 +310,8 @@ def load_bisequence(doc):
     N = _int_field(doc, "N", "bisequence")
     entries = _need(doc, "entries", "bisequence")
     try:
+        if not _lists(entries):
+            raise InputError("not a list of rows")
         return BiSequence(M, N, entries)
     except (InputError, TypeError):
         raise InputError("bisequence document: field 'entries' must be an (M+1)x(N+1) rational grid")
@@ -349,11 +337,8 @@ def load_boundary(doc, kind="bisequence"):
     M = _int_field(doc, "M", kind)
     N = _int_field(doc, "N", kind)
     entries = _need(doc, "entries", kind)
-    try:
-        shaped = len(entries) == M + 1 and all(len(row) == N + 1 for row in entries)
-    except TypeError:  # a number where a row or the grid should be
-        shaped = False
-    if not shaped:
+    shaped = _lists(entries) and len(entries) == M + 1
+    if not (shaped and all(len(row) == N + 1 for row in entries)):
         raise InputError("%s document: field 'entries' must be an (M+1)x(N+1) grid" % kind)
     cells = {}
     for m, row in enumerate(entries):
@@ -375,37 +360,24 @@ def load_morphism(doc):
     target_doc = _need(doc, "target", "morphism")
     skind = document_kind(source_doc)
     tkind = document_kind(target_doc)
-    families = {
-        "hom-algebra": "algebra",
-        "quotient": "algebra",
-        "hom-coalgebra": "coalgebra",
-        "hom-module": "module",
-        "hom-comodule": "comodule",
+    families = {  # kind -> (structure, loader)
+        "hom-algebra": ("algebra", load_algebra),
+        "quotient": ("algebra", lambda inner: load_quotient(inner).as_hom_algebra()),
+        "hom-coalgebra": ("coalgebra", load_coalgebra),
+        "hom-module": ("module", load_module),
+        "hom-comodule": ("comodule", load_comodule),
     }
     if skind not in families or tkind not in families:
         raise InputError("morphism document: source/target kind %r unsupported" % (skind,))
-    if families[skind] != families[tkind]:
+    (structure, load_source), (other, load_target) = families[skind], families[tkind]
+    if structure != other:
         raise InputError(
             "morphism document: source kind %r and target kind %r do not match"
             % (skind, tkind)
         )
-    structure = families[skind]
-
-    def realize(inner, inner_kind):
-        if inner_kind == "hom-algebra":
-            return load_algebra(inner)
-        if inner_kind == "quotient":
-            return load_quotient(inner).as_hom_algebra()
-        if inner_kind == "hom-coalgebra":
-            return load_coalgebra(inner)
-        if inner_kind == "hom-module":
-            return load_module(inner)
-        return load_comodule(inner)
-
-    source = realize(source_doc, skind)
-    target = realize(target_doc, tkind)
-    sdim = source.dim if structure in ("algebra", "coalgebra") else source.mdim
-    tdim = target.dim if structure in ("algebra", "coalgebra") else target.mdim
+    source, target = load_source(source_doc), load_target(target_doc)
+    size = "dim" if structure in ("algebra", "coalgebra") else "mdim"
+    sdim, tdim = getattr(source, size), getattr(target, size)
     matrix = _matrix_field(doc, "matrix", "morphism", tdim, sdim)
     return structure, source, target, LinearMapCandidate(sdim, tdim, matrix)
 

@@ -3,34 +3,32 @@
 Everything here is presented by exact structure constants over the
 rationals.  Verifiers contract the constants over every basis tuple, so a
 passing report is a proof of the axioms for the given presentation, not a
-sampled check.  Twist matrices use the column convention: column i holds
-the coordinates of the image of the i-th basis vector.
+sampled check.  Twists and maps use the column convention (column i is the
+image of the i-th basis vector) and are kept as sparse columns; the dense
+Matrix (twist, mtwist, matrix) is built only when asked for.
 
 Only the algebra side is contracted.  By finite duality a coalgebra is an
 algebra read through the transpose (comul[k][(i,j)] = mul[(i,j)][k], twist
-transposed) and a comodule is a module read the same way, so the coalgebra
-and comodule checks run the algebra and module sweeps on the transposes and
-regroup both sides of each axiom by output index.
+transposed) and a comodule is a module read the same way: their checks run
+the algebra and module sweeps on the transposes, read by output index.
 
-The contraction is fraction-free.  Each _*_axioms function scales every table
-and every list of sparse columns it receives (products, actions, twists,
-candidate maps) to integers by the lcm D of that table's denominators, and
-the sweeps add and multiply only integers.  Each side of an axiom then
-carries one denominator, the product of the D's it contracts: for
-multiplicativity D_t*D_m against D_m*D_t*D_t, for Hom-associativity
-D_m*D_t*D_m against D_m*D_m*D_t, for a morphism's product D_F*D_m against
-D_m'*D_F*D_F.  Two sides are compared over the lcm of their denominators,
-and a differing tuple turns back into Fractions, value / denominator, only
-when it is reported (canon).  Reports are the same canonical Fractions, in
-the same order, as an exact rational contraction gives.
+The contraction is fraction-free.  Each structure and candidate map owns
+its integer tables, built on first use (_ints): constants and twist columns
+times the lcm D of their denominators.  A sweep yields one block per
+leading basis index, both sides of every tuple of that block over one
+common denominator, and blocks are compared whole; only a differing block
+is split into its tuples and turned back into Fractions (canon).  Reports
+are the same canonical Fractions, in the same order, as an exact rational
+contraction gives.
 """
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import InputError
-from .exact_math import Matrix, rat
+from .exact_math import _ZERO, Matrix, rat
 
 
 def _add_scaled(acc, scale, vec):
@@ -49,22 +47,31 @@ def _add_scaled(acc, scale, vec):
                 acc[key] = new
 
 
+def _spread(block, pairs, vec):
+    """block[s] += c * vec for each (s, c) of pairs, block[s] created on first use."""
+    for s, c in pairs:
+        cur = block.get(s)
+        if cur is None:
+            block[s] = {k: c * v for k, v in vec.items()}
+        else:
+            _add_scaled(cur, c, vec)
+
+
+def _gather(block, scale, items):
+    """block[s] += scale * vec for each (s, vec) of items, block[s] created on first use."""
+    for s, vec in items:
+        cur = block.get(s)
+        if cur is None:
+            block[s] = {k: scale * v for k, v in vec.items()}
+        else:
+            _add_scaled(cur, scale, vec)
+
+
 def _apply(cols, vec):
     """Linear map given by its sparse columns, applied to a sparse vector."""
     out = {}
     for i, vi in vec.items():
         _add_scaled(out, vi, cols[i])
-    return out
-
-
-def _bilinear(table, u, v):
-    """Bilinear map {(a, b): {k: coeff}} applied to sparse vectors u and v."""
-    out = {}
-    for a, ua in u.items():
-        for b, vb in v.items():
-            vec = table.get((a, b))
-            if vec:
-                _add_scaled(out, ua * vb, vec)
     return out
 
 
@@ -90,13 +97,40 @@ def canon(sparse, den=1):
     return tuple(out)
 
 
-def _checked_matrix(m, rows, cols, what):
-    """(m as a Matrix of the given shape, its columns as sparse {row: coeff} dicts)."""
-    if not isinstance(m, Matrix):
-        m = Matrix(m)
-    if m.rows != rows or m.cols != cols:
-        raise InputError("%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, m.cols))
-    return m, [{i: row[j] for i, row in enumerate(m.entries) if row[j] != 0} for j in range(cols)]
+class _Cols(list):
+    """A matrix with `rows` rows as its sparse columns, column j = {i: nonzero entry}."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows, columns):
+        super().__init__(columns)
+        self.rows = rows
+
+
+def _sparse_cols(m, rows, cols, what):
+    """The sparse columns of m (a Matrix, rows of scalars, or _Cols) of the given shape."""
+    if not isinstance(m, _Cols):
+        if not isinstance(m, Matrix):
+            m = Matrix(m)
+        m = _Cols(m.rows, [{i: row[j] for i, row in enumerate(m.entries) if row[j]}
+                           for j in range(m.cols)])
+    if m.rows != rows or len(m) != cols:
+        raise InputError("%s must be %dx%d, got %dx%d" % (what, rows, cols, m.rows, len(m)))
+    return m
+
+
+def _transpose(cols, rows):
+    """Sparse columns of the transpose of a matrix with `rows` rows given by its columns."""
+    out = _Cols(len(cols), [{} for _ in range(rows)])
+    for j, col in enumerate(cols):
+        for i, val in col.items():
+            out[i][j] = val
+    return out
+
+
+def _dense(cols):
+    """The Matrix of sparse columns."""
+    return Matrix([[col.get(i, _ZERO) for col in cols] for i in range(cols.rows)], cols=len(cols))
 
 
 def _ints(what, *index):
@@ -152,6 +186,25 @@ def _norm_split(data, src, d1, d2, what):
     return table
 
 
+def _int_cols(cols):
+    """(D, the sparse columns times D as ints), D the lcm of their denominators."""
+    den = lcm(*{v.denominator for vec in cols for v in vec.values()})
+    out = []
+    for vec in cols:  # plain loops: a comprehension per column would cost a frame each
+        scaled = {}
+        for k, v in vec.items():
+            num, d = v.as_integer_ratio()
+            scaled[k] = num * (den // d)
+        out.append(scaled)
+    return den, out
+
+
+def _int_table(table):
+    """(D, the {key: {k: coeff}} table times D as ints), D the lcm of its denominators."""
+    den, vecs = _int_cols(table.values())
+    return den, dict(zip(table, vecs))
+
+
 class AxiomReport(namedtuple("AxiomReport", "violations")):
     """Outcome of a verifier: passed iff the violation list is empty.
 
@@ -167,13 +220,31 @@ class AxiomReport(namedtuple("AxiomReport", "violations")):
 
 
 class _Structure:
-    """What the four structure classes share.  _fields names the constructor
-    arguments in order; the structure constants are always second to last."""
+    """What the structures and candidate maps share.  _fields names the stored values
+    in constructor order, sparse columns last: a structure's constants second to
+    last and its twist (_tcols) last.  _dual marks the coalgebra side."""
+
+    _dual = False
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and all(
             getattr(self, name) == getattr(other, name) for name in self._fields
         )
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance of normalized values (zero-free Fraction tables, _Cols), taken as given."""
+        self = cls.__new__(cls)
+        self.__dict__.update(zip(cls._fields, values))
+        return self
+
+    @cached_property
+    def _ints(self):
+        """((D, constants), (D, twist columns)) of the algebra side, times D as ints."""
+        table, cols = getattr(self, self._fields[-2]), self._tcols
+        if self._dual:
+            table, cols = _flip(table), _transpose(cols, cols.rows)
+        return _int_table(table), _int_cols(cols)
 
     def _with_entry(self, key, inner, value):
         """Copy with one structure constant replaced."""
@@ -195,12 +266,14 @@ class FiniteHomAlgebra(_Structure):
     twist is the matrix of the twisting endomorphism.
     """
 
-    _fields = ("dim", "mul", "twist")
+    _fields = ("dim", "mul", "_tcols")
 
     def __init__(self, dim, mul, twist):
         self.dim = dim
         self.mul = _norm_constants(mul, dim, dim, dim, "mul")
-        self.twist, self._tcols = _checked_matrix(twist, dim, dim, "twist")
+        self._tcols = _sparse_cols(twist, dim, dim, "twist")
+
+    twist = cached_property(lambda self: _dense(self._tcols))
 
     def __repr__(self):
         return "FiniteHomAlgebra(dim=%d)" % self.dim
@@ -216,12 +289,15 @@ class FiniteHomCoalgebra(_Structure):
     Delta(e_k) = sum coeff e_i (x) e_j.
     """
 
-    _fields = ("dim", "comul", "twist")
+    _fields = ("dim", "comul", "_tcols")
+    _dual = True
 
     def __init__(self, dim, comul, twist):
         self.dim = dim
         self.comul = _norm_split(comul, dim, dim, dim, "comul")
-        self.twist, self._tcols = _checked_matrix(twist, dim, dim, "twist")
+        self._tcols = _sparse_cols(twist, dim, dim, "twist")
+
+    twist = cached_property(lambda self: _dense(self._tcols))
 
     def __repr__(self):
         return "FiniteHomCoalgebra(dim=%d)" % self.dim
@@ -237,13 +313,15 @@ class FiniteHomModule(_Structure):
     m_a . e_i = sum_b coeff m_b; mtwist is the module twist.
     """
 
-    _fields = ("algebra", "mdim", "action", "mtwist")
+    _fields = ("algebra", "mdim", "action", "_tcols")
 
     def __init__(self, algebra, mdim, action, mtwist):
         self.algebra = algebra
         self.mdim = mdim
         self.action = _norm_constants(action, mdim, algebra.dim, mdim, "action")
-        self.mtwist, self._tcols = _checked_matrix(mtwist, mdim, mdim, "mtwist")
+        self._tcols = _sparse_cols(mtwist, mdim, mdim, "mtwist")
+
+    mtwist = cached_property(lambda self: _dense(self._tcols))
 
     def __repr__(self):
         return "FiniteHomModule(mdim=%d over dim=%d)" % (self.mdim, self.algebra.dim)
@@ -259,13 +337,16 @@ class FiniteHomComodule(_Structure):
     phi(m_a) = sum coeff m_b (x) c_i; mtwist is the comodule twist.
     """
 
-    _fields = ("coalgebra", "mdim", "coaction", "mtwist")
+    _fields = ("coalgebra", "mdim", "coaction", "_tcols")
+    _dual = True
 
     def __init__(self, coalgebra, mdim, coaction, mtwist):
         self.coalgebra = coalgebra
         self.mdim = mdim
         self.coaction = _norm_split(coaction, mdim, mdim, coalgebra.dim, "coaction")
-        self.mtwist, self._tcols = _checked_matrix(mtwist, mdim, mdim, "mtwist")
+        self._tcols = _sparse_cols(mtwist, mdim, mdim, "mtwist")
+
+    mtwist = cached_property(lambda self: _dense(self._tcols))
 
     def __repr__(self):
         return "FiniteHomComodule(mdim=%d over dim=%d)" % (self.mdim, self.coalgebra.dim)
@@ -274,117 +355,136 @@ class FiniteHomComodule(_Structure):
         return self._with_entry(a, (b, i), value)
 
 
-class LinearMapCandidate:
+class LinearMapCandidate(_Structure):
     """A linear map to be tested as a morphism; column i is the image of e_i."""
+
+    _fields = ("source_dim", "target_dim", "_cols")
 
     def __init__(self, source_dim, target_dim, matrix):
         self.source_dim = source_dim
         self.target_dim = target_dim
-        self.matrix, self._cols = _checked_matrix(
-            matrix, target_dim, source_dim, "morphism matrix"
-        )
+        self._cols = _sparse_cols(matrix, target_dim, source_dim, "morphism matrix")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMapCandidate)
-            and self.source_dim == other.source_dim
-            and self.target_dim == other.target_dim
-            and self.matrix == other.matrix
-        )
+    matrix = cached_property(lambda self: _dense(self._cols))
+
+    @cached_property
+    def _ints(self):
+        return _int_cols(self._cols)
+
+    def _adjoint_ints(self):
+        den, cols = self._ints
+        return den, _transpose(cols, self.target_dim)
 
     def __repr__(self):
         return "LinearMapCandidate(%d -> %d)" % (self.source_dim, self.target_dim)
 
 
-# The engine.  Each axiom is a lazy sweep yielding (basis input tuple, lhs,
-# rhs) in report order, both sides sparse over the output basis; tuples where
-# both sides are structurally zero are skipped.  Maps are lists of sparse
-# columns, bilinear maps are {(a, b): {k: coeff}} tables.  The sweeps run on
-# integers: every table comes in as (D, table times D), D the lcm of its
-# denominators, and each sweep returns (sweep, lhs denominator, rhs
-# denominator), the products of the D's that each side contracts.
+# The engine.  Each axiom is (blocks, common): blocks() runs the sweep afresh on
+# every call, yielding (x, lhs, rhs) per leading basis index x in ascending order,
+# both sides zero-free {suffix: {k: int}} over the common denominator; a suffix
+# absent from a side is 0 there.  Each block is built output-driven from maps
+# computed once per sweep.  Maps are sparse columns, bilinear maps {(a, b): vec}
+# tables, all as (D, ints) pairs.
 
 
-def _int_cols(cols):
-    """(D, the sparse columns times D as ints), D the lcm of their denominators."""
-    den = lcm(*{v.denominator for vec in cols for v in vec.values()})
-    out = []
-    for vec in cols:  # plain loops: a comprehension per column would cost a frame each
-        scaled = {}
-        for k, v in vec.items():
-            num, d = v.as_integer_ratio()
-            scaled[k] = num * (den // d)
-        out.append(scaled)
-    return den, out
+def _rows(table):
+    """{(x, y): vec} -> {x: [(y, vec), ...]}."""
+    rows = {}
+    for (x, y), vec in table.items():
+        rows.setdefault(x, []).append((y, vec))
+    return rows
 
 
-def _int_table(table):
-    """(D, the {key: {k: coeff}} table times D as ints), D the lcm of its denominators."""
-    den, vecs = _int_cols(table.values())
-    return den, dict(zip(table, vecs))
+def _through(t, g, scale):
+    """{p: {z: t(e_p, g(e_z)) times scale}}: a bilinear table, its right argument mapped by g."""
+    hits = {}  # q -> [(z, coefficient of e_q in g(e_z) times scale)]
+    for z, vec in enumerate(g):
+        for q, c in vec.items():
+            hits.setdefault(q, []).append((z, c * scale))
+    out = {}
+    for (p, q), vec in t.items():
+        _spread(out.setdefault(p, {}), hits.get(q, ()), vec)
+    return out
 
 
 def _pairs(f, src, dst, g):
-    """At (x, y): f(src(e_x, e_y)) against dst(f(e_x), g(e_y))."""
+    """At (x, y): f(src(e_x, e_y)) against dst(f(e_x), g(e_y)); suffixes (y,)."""
     (df, f), (ds, src), (dd, dst), (dg, g) = f, src, dst, g
+    common = lcm(df * ds, dd * df * dg)
+    ml, mr = common // (df * ds), common // (dd * df * dg)
 
-    def sweep():
-        for x in range(len(f)):
-            for y in range(len(g)):
-                sxy = src.get((x, y), {})
-                if sxy or (f[x] and g[y]):
-                    yield (x, y), _apply(f, sxy), _bilinear(dst, f[x], g[y])
+    def blocks():
+        rows, through = _rows(src), _through(dst, g, mr)
+        scaled = [{k: v * ml for k, v in col.items()} for col in f]
+        for x, fx in enumerate(f):
+            lhs = {}
+            for y, vec in rows.get(x, ()):
+                out = _apply(scaled, vec)
+                if out:
+                    lhs[y,] = out
+            rhs = {}
+            for a, fa in fx.items():
+                _gather(rhs, fa, through.get(a, {}).items())
+            yield x, lhs, {(y,): vec for y, vec in rhs.items() if vec}
 
-    return sweep(), df * ds, dd * df * dg
+    return blocks, common
 
 
 def _triples(t, f, left, right, g):
     """At (x, y, z): t(f(e_x), left(e_y, e_z)) against t(right(e_x, e_y), g(e_z))."""
     (dt, t), (df, f), (dl, left), (dr, right), (dg, g) = t, f, left, right, g
+    common = lcm(dt * df * dl, dt * dr * dg)
+    ml, mr = common // (dt * df * dl), common // (dt * dr * dg)
 
-    def sweep():
-        reach = {}  # p -> every q with t(e_p, e_q) != 0
-        for p, q in t:
-            reach.setdefault(p, set()).add(q)
-        rows = {}  # y -> [(z, left(e_y, e_z))] over the nonzero entries, z ascending
-        for (y, z), vec in sorted(left.items()):
-            rows.setdefault(y, []).append((z, vec))
-        hits = {}  # q -> every z with e_q in the support of g(e_z)
-        for z, vec in enumerate(g):
-            for q in vec:
-                hits.setdefault(q, []).append(z)
+    def blocks():
+        row_of, right_rows, twisted = _rows(t), _rows(right), _through(t, g, mr)
+        through = {}  # r -> [((y, z), coefficient of e_r in left(e_y, e_z) times ml)]
+        for s, vec in left.items():
+            for r, c in vec.items():
+                through.setdefault(r, []).append((s, c * ml))
+        for x, fx in enumerate(f):
+            ax = {}  # r -> t(f(e_x), e_r), contracted through `through` into the lhs
+            for p, fp in fx.items():
+                _gather(ax, fp, row_of.get(p, ()))
+            lhs = {}
+            for r, vec in ax.items():
+                if vec:
+                    _spread(lhs, through.get(r, ()), vec)
+            rhs = {}
+            for y, vec in right_rows.get(x, ()):
+                row = {}
+                for p, rp in vec.items():
+                    _gather(row, rp, twisted.get(p, {}).items())
+                for z, out in row.items():
+                    if out:
+                        rhs[y, z] = out
+            yield x, {s: vec for s, vec in lhs.items() if vec}, rhs
 
-        def reached(vec):
-            return set().union(*(reach.get(p, ()) for p in vec))
-
-        for x in range(len(f)):
-            fx = f[x]
-            lhs_q = reached(fx)
-            for y in range(len(g)):
-                rxy = right.get((x, y), {})
-                zs = {z for z, lyz in rows.get(y, ()) if not lhs_q.isdisjoint(lyz)}
-                zs.update(z for q in reached(rxy) for z in hits.get(q, ()))
-                for z in sorted(zs):
-                    yield (x, y, z), _bilinear(t, fx, left.get((y, z), {})), _bilinear(t, rxy, g[z])
-
-    return sweep(), dt * df * dl, dt * dr * dg
+    return blocks, common
 
 
 def _commutes(f, a, b):
-    """At (x,): f(a(e_x)) against b(f(e_x))."""
+    """At (x,): f(a(e_x)) against b(f(e_x)); the empty suffix."""
     (df, f), (da, a), (db, b) = f, a, b
-    sweep = (((x,), _apply(f, a[x]), _apply(b, f[x])) for x in range(len(a)))
-    return sweep, df * da, db * df
+    common = lcm(df * da, db * df)
+    ml, mr = common // (df * da), common // (db * df)
+
+    def blocks():
+        for x, ax in enumerate(a):
+            lhs = _apply(f, {i: v * ml for i, v in ax.items()})
+            rhs = _apply(b, {i: v * mr for i, v in f[x].items()})
+            yield x, {(): lhs} if lhs else {}, {(): rhs} if rhs else {}
+
+    return blocks, common
 
 
 def _swapped(axiom):
-    sweep, dl, dr = axiom
-    return ((at, rhs, lhs) for at, lhs, rhs in sweep), dr, dl
+    blocks, common = axiom
+    return (lambda: ((x, rhs, lhs) for x, lhs, rhs in blocks())), common
 
 
 def _algebra_axioms(mul, tw):
     """alpha(e_i e_j) = alpha(e_i) alpha(e_j); alpha(e_i)(e_j e_k) = (e_i e_j) alpha(e_k)."""
-    mul, tw = _int_table(mul), _int_cols(tw)
     return {
         "twist-multiplicative": _pairs(tw, mul, mul, tw),
         "hom-associativity": _triples(mul, tw, mul, mul, tw),
@@ -393,7 +493,6 @@ def _algebra_axioms(mul, tw):
 
 def _module_axioms(act, gam, mul, tw):
     """gamma(m_a).alpha(e_i) = gamma(m_a.e_i); (m_a.e_i).alpha(e_j) = gamma(m_a).(e_i e_j)."""
-    act, gam, mul, tw = _int_table(act), _int_cols(gam), _int_table(mul), _int_cols(tw)
     return {
         "module-twist-compatibility": _swapped(_pairs(gam, act, act, tw)),
         "module-hom-associativity": _swapped(_triples(act, gam, mul, act, tw)),
@@ -402,18 +501,16 @@ def _module_axioms(act, gam, mul, tw):
 
 def _algebra_morphism_axioms(f, mul, tw, mul2, tw2):
     """F(e_i e_j) = F(e_i) F(e_j); F(alpha(e_i)) = alpha'(F(e_i))."""
-    f, tw, tw2 = _int_cols(f), _int_cols(tw), _int_cols(tw2)
     return {
-        "multiplication-compat": _pairs(f, _int_table(mul), _int_table(mul2), f),
+        "multiplication-compat": _pairs(f, mul, mul2, f),
         "twist-compat": _commutes(f, tw, tw2),
     }
 
 
 def _module_morphism_axioms(f, act, gam, act2, gam2, tw):
     """sigma(m_a.e_i) = sigma(m_a).alpha(e_i); gamma'(sigma(m_a)) = sigma(gamma(m_a))."""
-    f, gam, gam2 = _int_cols(f), _int_cols(gam), _int_cols(gam2)
     return {
-        "action-compat": _pairs(f, _int_table(act), _int_table(act2), _int_cols(tw)),
+        "action-compat": _pairs(f, act, act2, tw),
         "twist-compat": _swapped(_commutes(f, gam, gam2)),
     }
 
@@ -430,44 +527,51 @@ _DUAL = {
 }
 
 
-def _by_output(sweep, swapped):
-    """A sweep read by output index k: at (k,), both sides as {input tuple: value}."""
+def _by_output(blocks):
+    """A sweep read by output index k: one block per k, both sides {(): {input tuple: value}}.
+
+    The sweep first runs without keeping a block: if every block agrees, so does
+    every output.  Only otherwise is it run again and regrouped.
+    """
+    for _, lhs, rhs in blocks():
+        if lhs != rhs:
+            break
+    else:
+        return
     left, right = {}, {}
-    for at, lhs, rhs in sweep:
-        for k, val in lhs.items():
-            left.setdefault(k, {})[at] = val
-        for k, val in rhs.items():
-            right.setdefault(k, {})[at] = val
-    if swapped:
-        left, right = right, left
+    for x, lhs, rhs in blocks():
+        for side, out in ((lhs, left), (rhs, right)):
+            for s, vec in side.items():
+                at = (x,) + s
+                for k, val in vec.items():
+                    out.setdefault(k, {})[at] = val
     for k in sorted(left.keys() | right.keys()):
-        yield (k,), left.get(k, {}), right.get(k, {})
+        yield k, {(): left.get(k, {})}, {(): right.get(k, {})}
 
 
 def _dual(axioms):
     """The coalgebra-side axioms: each algebra-side sweep read by output, renamed."""
     out = {}
-    for name, (sweep, dl, dr) in axioms.items():
+    for name, axiom in axioms.items():
         dual, swapped = _DUAL[name]
-        out[dual] = (_by_output(sweep, swapped),) + ((dr, dl) if swapped else (dl, dr))
+        blocks, common = _swapped(axiom) if swapped else axiom
+        out[dual] = (lambda blocks=blocks: _by_output(blocks)), common
     return out
 
 
 def _failures(axiom):
     """(at, lhs, rhs) of each swept tuple whose sides differ, in canonical form.
 
-    Both sides are brought to the lcm of their denominators before they are compared.
+    A block is compared whole; only a differing one is split into its tuples.
     """
-    sweep, dl, dr = axiom
-    common = lcm(dl, dr)
-    ml, mr = common // dl, common // dr
-    for at, lhs, rhs in sweep:
-        if ml != 1 and lhs:
-            lhs = {k: v * ml for k, v in lhs.items()}
-        if mr != 1 and rhs:
-            rhs = {k: v * mr for k, v in rhs.items()}
-        if lhs != rhs:
-            yield at, canon(lhs, common), canon(rhs, common)
+    blocks, common = axiom
+    for x, lhs, rhs in blocks():
+        if lhs == rhs:
+            continue
+        for s in sorted(lhs.keys() | rhs.keys()):
+            left, right = lhs.get(s, {}), rhs.get(s, {})
+            if left != right:
+                yield (x,) + s, canon(left, common), canon(right, common)
 
 
 def _report(axioms, stop_early=False):
@@ -479,25 +583,6 @@ def _report(axioms, stop_early=False):
             if stop_early:
                 return AxiomReport(tuple(violations))
     return AxiomReport(tuple(violations))
-
-
-def _transpose(cols, rows):
-    """Sparse columns of the transpose of a matrix with `rows` rows given by its columns."""
-    out = [{} for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, val in col.items():
-            out[i][j] = val
-    return out
-
-
-def _algebra_of(coalgebra):
-    """(mul, twist columns) of the algebra whose finite dual is coalgebra."""
-    return _flip(coalgebra.comul), _transpose(coalgebra._tcols, coalgebra.dim)
-
-
-def _module_of(comodule):
-    """(action, twist columns) of the module whose finite dual is comodule."""
-    return _flip(comodule.coaction), _transpose(comodule._tcols, comodule.mdim)
 
 
 def _check_map_shape(candidate, source_dim, target_dim):
@@ -515,7 +600,7 @@ def verify_hom_algebra(algebra, stop_early=False):
     triples.  Multiplicativity: alpha(e_i e_j) = alpha(e_i) alpha(e_j) for
     all pairs.  With stop_early the report lists only the first violation.
     """
-    return _report(_algebra_axioms(algebra.mul, algebra._tcols), stop_early)
+    return _report(_algebra_axioms(*algebra._ints), stop_early)
 
 
 def verify_hom_coalgebra(coalgebra, stop_early=False):
@@ -524,7 +609,7 @@ def verify_hom_coalgebra(coalgebra, stop_early=False):
     Hom-coassociativity: (beta (x) Delta) Delta = (Delta (x) beta) Delta.
     Comultiplicativity: Delta(beta(e_m)) = (beta (x) beta) Delta(e_m).
     """
-    return _report(_dual(_algebra_axioms(*_algebra_of(coalgebra))), stop_early)
+    return _report(_dual(_algebra_axioms(*coalgebra._ints)), stop_early)
 
 
 def check_algebra_morphism(source, target, candidate):
@@ -534,10 +619,7 @@ def check_algebra_morphism(source, target, candidate):
     F(alpha(e_i)) = alpha'(F(e_i)) for all i.
     """
     _check_map_shape(candidate, source.dim, target.dim)
-    axioms = _algebra_morphism_axioms(
-        candidate._cols, source.mul, source._tcols, target.mul, target._tcols
-    )
-    return _report(axioms)
+    return _report(_algebra_morphism_axioms(candidate._ints, *source._ints, *target._ints))
 
 
 def check_coalgebra_morphism(source, target, candidate):
@@ -546,8 +628,7 @@ def check_coalgebra_morphism(source, target, candidate):
     Conditions: (F (x) F) Delta = Delta' F and F beta = beta' F.
     """
     _check_map_shape(candidate, source.dim, target.dim)
-    adjoint = _transpose(candidate._cols, target.dim)
-    axioms = _algebra_morphism_axioms(adjoint, *_algebra_of(target), *_algebra_of(source))
+    axioms = _algebra_morphism_axioms(candidate._adjoint_ints(), *target._ints, *source._ints)
     return _report(_dual(axioms))
 
 
@@ -558,7 +639,8 @@ def dualize_algebra(algebra):
     twist into its adjoint; the result is always a Hom-coalgebra when the
     input is a Hom-algebra.
     """
-    return FiniteHomCoalgebra(algebra.dim, _flip(algebra.mul), algebra.twist.transpose())
+    twist = _transpose(algebra._tcols, algebra.dim)
+    return FiniteHomCoalgebra._of(algebra.dim, _flip(algebra.mul), twist)
 
 
 def dualize_algebra_morphism(candidate):
@@ -568,9 +650,8 @@ def dualize_algebra_morphism(candidate):
     check, the adjoint passes the comodule morphism check from the dual of N
     to the dual of M.
     """
-    return LinearMapCandidate(
-        candidate.target_dim, candidate.source_dim, candidate.matrix.transpose()
-    )
+    adjoint = _transpose(candidate._cols, candidate.target_dim)
+    return LinearMapCandidate(candidate.target_dim, candidate.source_dim, adjoint)
 
 
 dualize_module_morphism = dualize_algebra_morphism
@@ -583,18 +664,19 @@ def yau_twist(assoc, endo):
     The input must carry the identity twist; endo must be multiplicative
     (checked on all basis pairs, first violating pair reported).
     """
-    endo, cols = _checked_matrix(endo, assoc.dim, assoc.dim, "endo")
-    if not assoc.twist.is_identity():
+    cols = _sparse_cols(endo, assoc.dim, assoc.dim, "endo")
+    if any(col != {j: 1} for j, col in enumerate(assoc._tcols)):
         raise InputError("yau_twist input must carry the identity twist")
-    for at, _, _ in _failures(_algebra_axioms(assoc.mul, cols)["twist-multiplicative"]):
+    axioms = _algebra_axioms(assoc._ints[0], _int_cols(cols))
+    for at, _, _ in _failures(axioms["twist-multiplicative"]):
         raise InputError("endo is not an algebra endomorphism: fails at basis pair (%d, %d)" % at)
     mul = {key: _apply(cols, vec) for key, vec in assoc.mul.items()}
-    return FiniteHomAlgebra(assoc.dim, mul, endo)
+    return FiniteHomAlgebra(assoc.dim, mul, cols)
 
 
 def regular_module(algebra):
     """The algebra acting on itself by right multiplication, twisted by alpha."""
-    return FiniteHomModule(algebra, algebra.dim, dict(algebra.mul), algebra.twist)
+    return FiniteHomModule._of(algebra, algebra.dim, dict(algebra.mul), algebra._tcols)
 
 
 def verify_hom_module(module, stop_early=False):
@@ -603,8 +685,7 @@ def verify_hom_module(module, stop_early=False):
     Axioms: (m.g).alpha(h) = gamma(m).(gh) over all (module, algebra,
     algebra) triples, and gamma(m).alpha(g) = gamma(m.g) over all pairs.
     """
-    alg = module.algebra
-    return _report(_module_axioms(module.action, module._tcols, alg.mul, alg._tcols), stop_early)
+    return _report(_module_axioms(*module._ints, *module.algebra._ints), stop_early)
 
 
 def verify_hom_comodule(comodule, stop_early=False):
@@ -613,7 +694,7 @@ def verify_hom_comodule(comodule, stop_early=False):
     Axioms: (phi (x) beta) phi = (eps (x) Delta) phi and
     (eps (x) beta) phi = phi eps.
     """
-    axioms = _module_axioms(*_module_of(comodule), *_algebra_of(comodule.coalgebra))
+    axioms = _module_axioms(*comodule._ints, *comodule.coalgebra._ints)
     return _report(_dual(axioms), stop_early)
 
 
@@ -623,8 +704,10 @@ def dualize_module(module):
     coaction[a][(b,i)] = action[(b,i)][a] and the comodule twist is the
     transpose of the module twist, over the dual coalgebra of the algebra.
     """
-    coalgebra, mtwist = dualize_algebra(module.algebra), module.mtwist.transpose()
-    return FiniteHomComodule(coalgebra, module.mdim, _flip(module.action), mtwist)
+    mtwist = _transpose(module._tcols, module.mdim)
+    return FiniteHomComodule._of(
+        dualize_algebra(module.algebra), module.mdim, _flip(module.action), mtwist
+    )
 
 
 def check_module_morphism(source, target, candidate):
@@ -638,8 +721,7 @@ def check_module_morphism(source, target, candidate):
         raise InputError("module morphism check needs a common underlying algebra")
     _check_map_shape(candidate, source.mdim, target.mdim)
     axioms = _module_morphism_axioms(
-        candidate._cols, source.action, source._tcols, target.action, target._tcols,
-        source.algebra._tcols,
+        candidate._ints, *source._ints, *target._ints, source.algebra._ints[1]
     )
     return _report(axioms)
 
@@ -654,7 +736,7 @@ def check_comodule_morphism(source, target, candidate):
     if source.coalgebra != target.coalgebra:
         raise InputError("comodule morphism check needs a common underlying coalgebra")
     _check_map_shape(candidate, source.mdim, target.mdim)
-    adjoint = _transpose(candidate._cols, target.mdim)
-    tw = _transpose(source.coalgebra._tcols, source.coalgebra.dim)
-    axioms = _module_morphism_axioms(adjoint, *_module_of(target), *_module_of(source), tw)
+    axioms = _module_morphism_axioms(
+        candidate._adjoint_ints(), *target._ints, *source._ints, source.coalgebra._ints[1]
+    )
     return _report(_dual(axioms))

@@ -22,13 +22,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InputError, MorphismError
-from .exact_math import Matrix, _Memo, rat, rat_str
+from .exact_math import _Memo, rat, rat_str
 from .homalg_core import (
     AxiomReport,
     FiniteHomAlgebra,
     LinearMapCandidate,
     _add_scaled,
     _apply,
+    _Cols,
     _transpose,
     canon,
     check_algebra_morphism,
@@ -56,7 +57,8 @@ MonomialFamily.__doc__ = """A quotient family: a unital monomial algebra, Yau-tw
     owning its power tables; asked only for products that are kept.
     build(params): the family's public builder, validation included.
     pairs(keys, wide): the pairs verify_quotient sweeps over the keys of the
-    widened bounds; None (the default) sweeps every pair.
+    widened bounds, as (u, the prefix of keys paired with u) for each key u;
+    None (the default) sweeps every pair.
 """
 
 
@@ -95,13 +97,10 @@ class QuotientPresentation:
     def dim(self):
         return len(self.labels)
 
-    @cached_property
+    @property
     def qtwist(self):
         """The twist as a dense diagonal Matrix, built on first use."""
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for a, v in enumerate(self.twist_diagonal):
-            rows[a][a] = v
-        return Matrix(rows)
+        return self.as_hom_algebra().twist
 
     def __eq__(self, other):
         return (
@@ -127,7 +126,8 @@ class QuotientPresentation:
 
     @cached_property
     def _hom_algebra(self):
-        return FiniteHomAlgebra(self.dim, self.qmul, self.qtwist)
+        twist = _Cols(self.dim, [{i: v} for i, v in enumerate(self.twist_diagonal)])
+        return FiniteHomAlgebra._of(self.dim, self.qmul, twist)
 
     def as_hom_algebra(self):
         """The quotient as a FiniteHomAlgebra, built on first use and then shared."""
@@ -202,7 +202,7 @@ def _tensor_pairs(words, params):
     """Pairs of words of total length <= n: as _words runs by length, v ranges over a prefix."""
     n = params["n"]
     within = {len(w): end for end, w in enumerate(words, 1)}  # length -> words up to it
-    return ((u, v) for u in words for v in words[: within[n - len(u)]])
+    return ((u, words[: within[n - len(u)]]) for u in words)
 
 
 def make_qplane_quotient(R, S, q, k):
@@ -486,26 +486,33 @@ def verify_quotient(quotient, degree_margin=1):
     violations = list(verify_hom_algebra(quotient.as_hom_algebra()).violations)
     # the swept keys are canonical already, so they index the tables directly
     index = quotient.key_index.get
-    times, weight = quotient._times, quotient._weight
-    for key1, key2 in _ambient_pairs(quotient, degree_margin):
-        idx = index(times(key1, key2))
-        lhs = {idx: weight(key1, key2)} if idx is not None else {}
-        # a pair with a key outside the basis (index None) is in no table entry
-        rhs = quotient.qmul.get((index(key1), index(key2)), {})
-        if lhs != rhs:
-            violations.append(
-                ("quotient-projection-consistency", (key1, key2), canon(lhs), canon(rhs))
-            )
+    times, weight, qmul = quotient._times, quotient._weight, quotient.qmul
+    keys, rows = _ambient_rows(quotient, degree_margin)
+    where = [index(v) for v in keys]
+    for key1, row in rows:
+        i = index(key1)
+        for key2, j in zip(row, where):  # row is a prefix of keys
+            idx = index(times(key1, key2))
+            # a pair with a key outside the basis (index None) is in no table entry
+            rhs = qmul.get((i, j), {})
+            if idx is None and not rhs:  # the product dies, and the table has no entry
+                continue
+            lhs = {idx: weight(key1, key2)} if idx is not None else {}
+            if lhs != rhs:
+                violations.append(
+                    ("quotient-projection-consistency", (key1, key2), canon(lhs), canon(rhs))
+                )
     return AxiomReport(tuple(violations))
 
 
-def _ambient_pairs(quotient, margin):
-    """The pairs verify_quotient sweeps: monomials within twice each bound plus margin."""
+def _ambient_rows(quotient, margin):
+    """(keys, rows): the monomials within twice each bound plus margin, and the pairs
+    verify_quotient sweeps as (u, the prefix of keys paired with u)."""
     rules = FAMILIES[quotient.family]
     wide = dict(quotient.params)
     for name in rules.bounds:
         wide[name] = 2 * wide[name] + margin
     keys = rules.keys(wide)
     if rules.pairs is None:
-        return ((u, v) for u in keys for v in keys)
-    return rules.pairs(keys, wide)
+        return keys, ((u, keys) for u in keys)
+    return keys, rules.pairs(keys, wide)

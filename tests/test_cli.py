@@ -179,6 +179,101 @@ def test_structure_indices_and_scalars_are_checked(tmp_path, capsys, fault):
     assert out["status"] == "error"
     assert field in out["error"]
 
+# A string where a document needs a list used to be read one character per
+# entry: these documents loaded as structures, and verify answered on them.
+STRING_ROWS = {
+    "twist": ("dual_numbers.json", ("twist",), ["10", "01"], "field 'twist'"),
+    "mul-vector": ("dual_numbers.json", ("mul", 0, 2), "10", "field 'mul' entry (0, 0)"),
+    "mtwist": ("regular_module_dual_numbers.json", ("mtwist",), ["10", "01"], "field 'mtwist'"),
+    "action-vector": (
+        "regular_module_dual_numbers.json", ("action", 1, 2), "01", "field 'action' entry (0, 1)"),
+    "comodule-mtwist": ("comodule_dual_numbers.json", ("mtwist",), ["10", "01"], "field 'mtwist'"),
+    "coalgebra-twist": (
+        "comodule_dual_numbers.json", ("coalgebra", "twist"), ["10", "01"], "field 'twist'"),
+    "morphism-matrix": (
+        "square_morphism_N6_k1.json", ("matrix",), ["1000000"] + ["0" * 7] * 6, "field 'matrix'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRING_ROWS))
+def test_a_string_where_a_list_belongs_exits_2(tmp_path, capsys, fault):
+    name, path, value, field = STRING_ROWS[fault]
+    doc = json.loads((INSTANCES / name).read_text())
+    entry = doc
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    assert cli.dispatch(["verify", str(p)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error" and field in out["error"]
+
+
+def test_string_table_rows_exit_2(tmp_path, capsys):
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"kind": "bisequence", "M": 1, "N": 1, "entries": ["12", "34"]}))
+    boundary = tmp_path / "b.json"
+    boundary.write_text(json.dumps({"kind": "bisequence", "M": 2, "N": 2,
+                                    "entries": ["111", [1, None, None], [1, None, None]]}))
+    for argv in (
+        ["verify", str(table)],
+        ["seq-minpoly", "--table", str(table), "--rmax", "0", "--smax", "0"],
+        ["seq-gen", "--h", str(INSTANCES / "delannoy.json"), "--case", "1", "--q", "1",
+         "--boundary", str(boundary), "--M", "2", "--N", "2"],
+    ):
+        assert cli.dispatch(argv) == 2, argv
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "error" and "field 'entries'" in out["error"], argv
+
+
+def _repeat_first(field):
+    def edit(doc):
+        doc[field].append(doc[field][0])
+    return edit
+
+
+def _repeat_cell(field, source, at):
+    def edit(doc):
+        doc[field].append([source, [doc[field][source][1][at]]])
+    return edit
+
+
+# A repeated structure constant used to keep the last value, and verify passed on it.
+REPEATS = {
+    "mul": ("dual_numbers.json", _repeat_first("mul"), "field 'mul' repeats entry (0, 0)"),
+    "action": ("regular_module_dual_numbers.json", _repeat_first("action"),
+               "field 'action' repeats entry (0, 0)"),
+    "comul-other-list": ("divided_power_coalgebra.json", _repeat_cell("comul", 2, 1),
+                         "field 'comul' repeats cell (2, 1, 1)"),
+    "comul-same-list": ("divided_power_coalgebra.json",
+                        lambda doc: doc["comul"][1][1].append([1, 0, "2"]),
+                        "field 'comul' repeats cell (1, 1, 0)"),
+    "coaction": ("comodule_dual_numbers.json", _repeat_cell("coaction", 1, 0),
+                 "field 'coaction' repeats cell (1, 0, 1)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REPEATS))
+def test_a_repeated_structure_constant_exits_2(tmp_path, capsys, fault):
+    name, edit, message = REPEATS[fault]
+    doc = json.loads((INSTANCES / name).read_text())
+    edit(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    assert cli.dispatch(["verify", str(p)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "error" and message in out["error"]
+
+
+def test_a_repeated_constant_with_another_value_exits_2(tmp_path, capsys):
+    p = tmp_path / "a.json"
+    p.write_text(json.dumps({"kind": "hom-algebra", "dim": 1, "twist": [["1"]],
+                             "mul": [[0, 0, ["1"]], [0, 0, ["2"]]]}))
+    assert cli.dispatch(["verify", str(p)]) == 2
+    assert "field 'mul' repeats entry (0, 0)" in json.loads(capsys.readouterr().out)["error"]
+
+
 # ----------------------------------------------------------------- dualize
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from homdual import homalg_core
 from homdual.errors import InputError
 from homdual.exact_math import Matrix, mat_rref
 from homdual.homalg_core import (
@@ -28,7 +29,7 @@ from homdual.homalg_core import (
     verify_hom_module,
     yau_twist,
 )
-from homdual.sweedler import make_poly_quotient
+from homdual.sweedler import make_poly_quotient, make_qplane_quotient, make_tensor_quotient
 from homdual.zoo import (
     dual_numbers,
     matrix_algebra_2x2,
@@ -742,3 +743,152 @@ def test_fraction_free_engine_matches_the_fraction_engine():
     assert len(seen) == 9
     for label, (calls, failing) in seen.items():
         assert failing >= 10 and calls - failing >= 10, (label, calls, failing)
+
+
+# --------------------------------------------- block sweeps against the reference
+#
+# The engine compares whole blocks (one per leading basis index) and splits only
+# a differing block into its tuples.  These cases aim at what a block comparison
+# could get wrong: sides that cancel to zero on swept tuples, zero twist columns,
+# and large structures whose one mutated constant fails on many outputs.
+
+
+def _cancelling(rng, dim):
+    """Product rows and columns 1 and 2 equal; twist columns e_1 - e_2, a zero one, others random."""
+    mul = {}
+    for i in range(dim):
+        for j in range(dim):
+            a, b = (1 if i == 2 else i), (1 if j == 2 else j)
+            if (a, b) not in mul:
+                mul[(a, b)] = {k: _scalar(rng, 0) for k in range(dim) if rng.random() < 0.6}
+            mul[(i, j)] = dict(mul[(a, b)])
+    rows = [[_scalar(rng, 0.5) for _ in range(dim)] for _ in range(dim)]
+    for i in range(dim):
+        rows[i][0] = Fraction(int(i == 1) - int(i == 2))
+        rows[i][dim - 1] = 0
+    return FiniteHomAlgebra(dim, mul, Matrix(rows, cols=dim))
+
+
+def _zero_columns(rng, matrix):
+    """The matrix with each column zeroed with probability 1/2, and at least one zeroed."""
+    dead = {j for j in range(matrix.cols) if rng.random() < 0.5} or {0}
+    return Matrix([[0 if j in dead else x for j, x in enumerate(row)] for row in matrix.entries],
+                  cols=matrix.cols)
+
+
+def _cancelled_tuples(alg):
+    """Swept tuples of the reference whose left side cancels to zero."""
+    axioms = _ref_algebra_axioms(alg.mul, _ref_cols(alg.twist))
+    return sum(not lhs for sweep in axioms.values() for _, lhs, _ in sweep)
+
+
+def _compare_all(label, alg, module):
+    structures = [("algebra", alg), ("coalgebra", dualize_algebra(alg)), ("module", module),
+                  ("comodule", dualize_module(module))]
+    verify = {"algebra": verify_hom_algebra, "coalgebra": verify_hom_coalgebra,
+              "module": verify_hom_module, "comodule": verify_hom_comodule}
+    failing = 0
+    for kind, s in structures:
+        for early in (False, True):
+            want = REFERENCE[kind](s, early)
+            assert verify[kind](s, stop_early=early).violations == want, (label, kind, early)
+            failing += bool(want)
+    return failing
+
+
+def test_block_engine_matches_the_reference_where_sides_cancel():
+    cancelled = failing = 0
+    for seed in range(16):
+        rng = random.Random("cancel/%d" % seed)
+        dim = rng.choice((3, 4, 5))
+        alg = _cancelling(rng, dim)
+        cancelled += _cancelled_tuples(alg)
+        module = FiniteHomModule(alg, dim, alg.mul, alg.twist)
+        failing += _compare_all(seed, alg, module)
+        mutant = alg.with_mul_entry(1, 1, rng.randrange(dim), _scalar(rng, 0))
+        failing += _compare_all(seed, mutant, regular_module(mutant))
+        cand = LinearMapCandidate(dim, dim, alg.twist)
+        assert check_algebra_morphism(alg, alg, cand).violations == _ref_algebra_morphism(
+            alg, alg, cand)
+        dual = dualize_algebra(alg)
+        adjoint = dualize_algebra_morphism(cand)
+        assert check_coalgebra_morphism(dual, dual, adjoint).violations == (
+            _ref_coalgebra_morphism(dual, dual, adjoint))
+        assert check_module_morphism(module, module, cand).violations == _ref_module_morphism(
+            module, module, cand)
+        comodule = dualize_module(module)
+        assert check_comodule_morphism(comodule, comodule, adjoint).violations == (
+            _ref_comodule_morphism(comodule, comodule, adjoint))
+    assert cancelled >= 100 and failing >= 40, (cancelled, failing)
+
+
+def test_block_engine_matches_the_reference_with_zero_twist_columns():
+    failing = 0
+    for seed in range(60):
+        rng = random.Random("zero-columns/%d" % seed)
+        alg = _random_algebra(rng)
+        alg = FiniteHomAlgebra(alg.dim, alg.mul, _zero_columns(rng, alg.twist))
+        mdim = rng.choice((1, 2, 3))
+        module = _random_module(rng, alg, mdim)
+        module = FiniteHomModule(alg, mdim, module.action, _zero_columns(rng, module.mtwist))
+        failing += _compare_all(seed, alg, module)
+        cand = LinearMapCandidate(alg.dim, alg.dim, _zero_columns(rng, alg.twist))
+        assert check_algebra_morphism(alg, alg, cand).violations == _ref_algebra_morphism(
+            alg, alg, cand)
+    assert failing >= 40, failing
+
+
+def test_block_engine_matches_the_reference_on_large_mutated_quotients():
+    quotients = [make_qplane_quotient(4, 4, Fraction(5, 3), Fraction(-1, 2)),
+                 make_poly_quotient(26, Fraction(-2, 3)),
+                 make_tensor_quotient(2, 4, (Fraction(1, 2), -3))]
+    for quotient in quotients:
+        alg = quotient.as_hom_algebra()
+        assert alg.dim >= 25
+        rng = random.Random("large/%r" % quotient)
+        i, j = rng.randrange(1, 4), rng.randrange(1, 4)
+        k = rng.choice(sorted(alg.mul.get((i, j), {0: 0})))
+        mutant = alg.with_mul_entry(i, j, k, alg.mul.get((i, j), {}).get(k, 0) + Fraction(1, 2))
+        assert _compare_all(quotient, mutant, regular_module(mutant)) == 8
+        # the coalgebra side of one mutated constant fails on several outputs
+        outputs = {at for _, at, _, _ in verify_hom_coalgebra(dualize_algebra(mutant)).violations}
+        assert len(outputs) > 1
+
+
+def _counting(monkeypatch):
+    """Wrap the sweep builders so that every run of a sweep is counted, by builder name."""
+    runs = {}
+    for name in ("_pairs", "_triples", "_commutes"):
+        build = getattr(homalg_core, name)
+
+        def counted(*args, name=name, build=build):
+            blocks, common = build(*args)
+
+            def again():
+                runs[name] = runs.get(name, 0) + 1
+                return blocks()
+
+            return again, common
+
+        monkeypatch.setattr(homalg_core, name, counted)
+    return runs
+
+
+def test_a_passing_coalgebra_check_runs_each_sweep_once(monkeypatch):
+    alg = make_qplane_quotient(3, 3, Fraction(5, 3), Fraction(-1, 2)).as_hom_algebra()
+    runs = _counting(monkeypatch)
+    assert verify_hom_coalgebra(dualize_algebra(alg)).passed
+    assert runs == {"_pairs": 1, "_triples": 1}
+    runs.clear()
+    assert verify_hom_comodule(dualize_module(regular_module(alg))).passed
+    assert runs == {"_pairs": 1, "_triples": 1}
+    runs.clear()
+    dual = dualize_algebra(alg)
+    ident = LinearMapCandidate(alg.dim, alg.dim, Matrix.identity(alg.dim))
+    assert check_coalgebra_morphism(dual, dual, ident).passed
+    assert runs == {"_pairs": 1, "_commutes": 1}
+    # only a failing sweep is run a second time, to regroup it by output
+    runs.clear()
+    report = verify_hom_coalgebra(dualize_algebra(alg.with_mul_entry(1, 1, 2, 7)))
+    assert {name for name, _, _, _ in report.violations} == {"hom-coassociativity"}
+    assert runs == {"_pairs": 1, "_triples": 2}

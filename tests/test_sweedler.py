@@ -34,7 +34,7 @@ from homdual.sweedler import (
     sweedler_twist,
     verify_quotient,
 )
-from homdual.sweedler import _ambient_pairs, _merged_quotient
+from homdual.sweedler import _ambient_rows, _merged_quotient
 
 
 def square_matrix(dim):
@@ -417,7 +417,7 @@ def test_ambient_products_match_the_family_formulas():
         for name in rules.bounds:
             wide[name] = 2 * wide[name] + 1
         big = rules.build(wide)
-        pairs = list(_ambient_pairs(quotient, 1))
+        pairs = [(u, v) for u, row in _ambient_rows(quotient, 1)[1] for v in row]
         assert pairs and all(big.project_index(key) is not None for pair in pairs for key in pair)
         assert len(pairs) > quotient.dim ** 2
         if quotient.family == "tensor":  # the prefix walk keeps the filter's pairs and order
@@ -637,3 +637,51 @@ def test_sparse_pullbacks_match_the_dense_formulas(monkeypatch):
         assert report == dense_naturality(source, target, induced)
         violated += not report.passed
     assert violated >= 20
+
+
+def _ref_ambient(quotient, margin):
+    """The ambient sweep one pair at a time, every pair of the widened box compared as dicts."""
+    rules = FAMILIES[quotient.family]
+    wide = dict(quotient.params)
+    for name in rules.bounds:
+        wide[name] = 2 * wide[name] + margin
+    keys = rules.keys(wide)
+    index = quotient.key_index.get
+    out = []
+    for u in keys:
+        for v in keys:
+            if quotient.family == "tensor" and len(u) + len(v) > wide["n"]:
+                continue
+            idx = index(quotient._times(u, v))
+            lhs = {idx: quotient._weight(u, v)} if idx is not None else {}
+            rhs = quotient.qmul.get((index(u), index(v)), {})
+            if lhs != rhs:
+                out.append(("quotient-projection-consistency", (u, v), canon(lhs), canon(rhs)))
+    return out
+
+
+def test_ambient_sweep_matches_the_per_pair_check_on_tampered_tables():
+    builders = [lambda: make_poly_quotient(3, Fraction(3, 2)),
+                lambda: make_tensor_quotient(2, 2, (2, Fraction(-1, 3))),
+                lambda: make_qplane_quotient(2, 2, Fraction(5, 3), -2)]
+    seen = set()
+    for build in builders:
+        for seed in range(6):
+            rng = random.Random("ambient/%d" % seed)
+            quotient = build()
+            n = quotient.dim
+            # a table entry where the product dies, a changed one, a missing one
+            i, j = rng.randrange(n), rng.randrange(n)
+            if seed % 3 == 0:
+                quotient.qmul[(n - 1, n - 1)] = {rng.randrange(n): Fraction(rng.randint(1, 5))}
+            elif seed % 3 == 1 and (i, j) in quotient.qmul:
+                quotient.qmul[(i, j)] = {k: c + 1 for k, c in quotient.qmul[(i, j)].items()}
+            else:
+                quotient.qmul.pop((i, j), None)
+            for margin in (0, 1):
+                want = list(verify_hom_algebra(quotient.as_hom_algebra()).violations)
+                want += _ref_ambient(quotient, margin)
+                got = verify_quotient(quotient, margin).violations
+                assert got == tuple(want), (quotient, seed, margin)
+                seen.update(name for name, _, lhs, _ in got if lhs == ())
+    assert "quotient-projection-consistency" in seen
